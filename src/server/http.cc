@@ -131,9 +131,13 @@ ReadOutcome ParseHttpRequest(std::string* buffer, size_t header_end,
     const std::string name = ToLower(Trim(line.substr(0, colon)));
     // Repeated Content-Length is the classic request-smuggling vector:
     // any two parsers that disagree on which copy frames the body can
-    // be made to see different requests. Reject outright rather than
-    // pick one — even identical duplicates buy nothing legitimate.
-    if (name == "content-length" && out->headers.count(name) > 0) {
+    // be made to see different requests. Repeated Authorization is the
+    // same split over identity: a proxy that vets the first copy and a
+    // server that uses the last would disagree about who is calling.
+    // Reject both outright rather than pick one — even identical
+    // duplicates buy nothing legitimate.
+    if ((name == "content-length" || name == "authorization") &&
+        out->headers.count(name) > 0) {
       return ReadOutcome::kMalformed;
     }
     out->headers[name] = Trim(line.substr(colon + 1));

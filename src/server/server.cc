@@ -4,12 +4,14 @@
 #include <errno.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <strings.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
 
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 
 #include "common/hex.h"
 #include "core/replication.h"
@@ -44,6 +46,21 @@ HttpResponse ErrorResponse(int status, const std::string& message) {
   Value::Object o;
   o["error"] = Value(message);
   return JsonResponse(status, Value(std::move(o)));
+}
+
+/// The token of `request`'s "Authorization: Bearer <token>" header;
+/// nullopt when the header is absent or names another scheme. The
+/// scheme is case-insensitive (RFC 7235 §2.1); the token is verbatim.
+std::optional<std::string> BearerToken(const HttpRequest& request) {
+  auto it = request.headers.find("authorization");
+  if (it == request.headers.end()) return std::nullopt;
+  const std::string& value = it->second;
+  constexpr size_t kScheme = sizeof("bearer") - 1;
+  if (value.size() <= kScheme || value[kScheme] != ' ' ||
+      strncasecmp(value.c_str(), "bearer", kScheme) != 0) {
+    return std::nullopt;
+  }
+  return value.substr(kScheme + 1);
 }
 
 HttpResponse ErrorFromStatus(const Status& s) {
@@ -470,13 +487,13 @@ HttpResponse MedVaultServer::Handle(const HttpRequest& request) {
   // Everything else requires a live session.
   core::PrincipalId actor;
   {
-    auto it = request.headers.find("authorization");
-    if (it == request.headers.end() || it->second.rfind("Bearer ", 0) != 0) {
+    std::optional<std::string> token = BearerToken(request);
+    if (!token) {
       HttpResponse r = ErrorResponse(401, "missing bearer token");
       r.headers["WWW-Authenticate"] = "Bearer";
       return r;
     }
-    Result<core::PrincipalId> who = sessions_->Lookup(it->second.substr(7));
+    Result<core::PrincipalId> who = sessions_->Lookup(*token);
     if (!who.ok()) {
       HttpResponse r = ErrorResponse(401, who.status().ToString());
       r.headers["WWW-Authenticate"] = "Bearer";
@@ -667,9 +684,8 @@ HttpResponse MedVaultServer::HandleLogin(const HttpRequest& request) {
 }
 
 HttpResponse MedVaultServer::HandleLogout(const HttpRequest& request) {
-  auto it = request.headers.find("authorization");
-  // Authenticated already, so the header is present and well-formed.
-  sessions_->Revoke(it->second.substr(7));
+  // Authenticated already, so the token is present and was live.
+  sessions_->Revoke(*BearerToken(request));
   Value::Object out;
   out["ok"] = Value(true);
   return JsonResponse(200, Value(std::move(out)));

@@ -7,33 +7,24 @@ namespace medvault::server {
 
 SessionManager::SessionManager(const Slice& entropy, const Clock* clock,
                                uint64_t ttl_micros)
-    : clock_(clock), ttl_micros_(ttl_micros), drbg_(entropy) {}
+    : clock_(clock),
+      ttl_micros_(ttl_micros),
+      drbg_(entropy),
+      index_key_(drbg_.Generate(32)) {}
 
-void SessionManager::PruneLocked(Timestamp now) {
-  for (auto it = sessions_.begin(); it != sessions_.end();) {
-    if (it->second.expires_at <= now) {
-      it = sessions_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+std::string SessionManager::DigestOf(const std::string& token) const {
+  // A plain token-keyed probe stops comparing at the first mismatching
+  // byte, so its timing would say how much of a guess matches a live
+  // token. Under a secret-keyed MAC, a one-byte change to the guess
+  // scrambles its whole digest: the compares reveal nothing.
+  return crypto::HmacSha256(Slice(index_key_), Slice(token));
 }
 
-const SessionManager::Session* SessionManager::FindLocked(
-    const std::string& token) const {
-  // A map lookup's comparisons stop at the first mismatching byte, so
-  // its timing tells an attacker how much of a guessed token matches a
-  // live one — the same side channel the login-secret compare already
-  // closes with ConstantTimeEqual. Scan every session with the
-  // constant-time compare and never break early; the table only holds
-  // live logins, so the full pass is cheap.
-  const Session* found = nullptr;
-  for (const auto& [candidate, session] : sessions_) {
-    if (crypto::ConstantTimeEqual(Slice(candidate), Slice(token))) {
-      found = &session;
-    }
+void SessionManager::PruneLocked(Timestamp now) {
+  while (!by_expiry_.empty() && by_expiry_.begin()->first <= now) {
+    sessions_.erase(by_expiry_.begin()->second);
+    by_expiry_.erase(by_expiry_.begin());
   }
-  return found;
 }
 
 std::string SessionManager::Issue(const core::PrincipalId& principal) {
@@ -41,38 +32,38 @@ std::string SessionManager::Issue(const core::PrincipalId& principal) {
   std::lock_guard<std::mutex> lock(mu_);
   PruneLocked(now);
   std::string token = HexEncode(drbg_.Generate(16));
-  sessions_[token] =
-      Session{principal, now + static_cast<Timestamp>(ttl_micros_)};
+  std::string digest = DigestOf(token);
+  auto expiry = by_expiry_.emplace(
+      now + static_cast<Timestamp>(ttl_micros_), digest);
+  sessions_.emplace(std::move(digest), Session{principal, expiry});
   return token;
 }
 
 Result<core::PrincipalId> SessionManager::Lookup(const std::string& token) {
+  const std::string digest = DigestOf(token);
   const Timestamp now = clock_->Now();
   std::lock_guard<std::mutex> lock(mu_);
   PruneLocked(now);
-  const Session* found = FindLocked(token);
-  if (found == nullptr) {
+  auto it = sessions_.find(digest);
+  if (it == sessions_.end()) {
     // One message for unknown, expired, and revoked alike: the error
     // must not help a caller distinguish a never-issued token from one
     // that was just logged out.
     return Status::PermissionDenied("invalid or expired session");
   }
-  return found->principal;
+  return it->second.principal;
 }
 
 bool SessionManager::Revoke(const std::string& token) {
+  const std::string digest = DigestOf(token);
+  const Timestamp now = clock_->Now();
   std::lock_guard<std::mutex> lock(mu_);
-  const Session* found = FindLocked(token);
-  if (found == nullptr) return false;
-  // Erase by the matched entry's own key, not the caller's bytes, so
-  // the erase path inherits the constant-time match above.
-  for (auto it = sessions_.begin(); it != sessions_.end(); ++it) {
-    if (&it->second == found) {
-      sessions_.erase(it);
-      return true;
-    }
-  }
-  return false;
+  PruneLocked(now);
+  auto it = sessions_.find(digest);
+  if (it == sessions_.end()) return false;
+  by_expiry_.erase(it->second.expiry);
+  sessions_.erase(it);
+  return true;
 }
 
 size_t SessionManager::ActiveSessions() {

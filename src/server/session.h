@@ -5,6 +5,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 
 #include "common/clock.h"
 #include "common/result.h"
@@ -22,9 +23,17 @@ namespace medvault::server {
 /// choice for a compliance front door (and mirrors how break-glass
 /// *grants* — which DO survive restarts — differ from mere logins).
 ///
-/// Thread safety: all operations serialize on one internal mutex; the
-/// table holds only live sessions (expired entries are pruned on every
-/// lookup pass, same discipline as AccessController's grant table).
+/// The table is a hash index keyed by HMAC-SHA256(index key, token),
+/// the 32-byte index key drawn from the DRBG at construction. A probe's
+/// early-exit compares see only the digest of the presented token, which
+/// no caller can steer toward a live one without the key, so timing
+/// leaks nothing about partial token matches. The table holds digests
+/// only, never a usable bearer token.
+///
+/// Thread safety: all operations serialize on one internal mutex that
+/// covers only the prune and the hash probe (digests are computed
+/// before taking it). The table holds only live sessions; an
+/// expiry-ordered index makes each prune cost O(expired), not O(live).
 class SessionManager {
  public:
   /// `entropy` seeds the token DRBG; `ttl_micros` is each session's
@@ -40,9 +49,9 @@ class SessionManager {
   std::string Issue(const core::PrincipalId& principal);
 
   /// Principal behind `token`; kPermissionDenied for unknown, expired,
-  /// and revoked tokens (deliberately indistinguishable). The match is
-  /// a constant-time scan of the live table, not a map lookup, so
-  /// response timing leaks nothing about partial token matches.
+  /// and revoked tokens (deliberately indistinguishable). The probe is
+  /// by keyed digest, so response timing leaks nothing about partial
+  /// token matches.
   Result<core::PrincipalId> Lookup(const std::string& token);
 
   /// Ends a session; false if the token was not live.
@@ -51,20 +60,26 @@ class SessionManager {
   size_t ActiveSessions();
 
  private:
+  /// Expiry time -> table key; the front holds the next session to lapse.
+  using ExpiryIndex = std::multimap<Timestamp, std::string>;
+
   struct Session {
     core::PrincipalId principal;
-    Timestamp expires_at = 0;
+    ExpiryIndex::iterator expiry;
   };
 
+  /// Table key for `token`: HMAC-SHA256 under `index_key_`.
+  std::string DigestOf(const std::string& token) const;
+  /// Drops every session with `expires_at <= now` (expiry is exclusive).
   void PruneLocked(Timestamp now);
-  /// Constant-time scan for `token`; nullptr if no live session matches.
-  const Session* FindLocked(const std::string& token) const;
 
   const Clock* clock_;
   uint64_t ttl_micros_;
   std::mutex mu_;
-  crypto::HmacDrbg drbg_;              // guarded by mu_
-  std::map<std::string, Session> sessions_;  // guarded by mu_
+  crypto::HmacDrbg drbg_;                              // guarded by mu_
+  const std::string index_key_;                        // from drbg_, immutable
+  std::unordered_map<std::string, Session> sessions_;  // guarded by mu_
+  ExpiryIndex by_expiry_;                              // guarded by mu_
 };
 
 }  // namespace medvault::server

@@ -748,6 +748,85 @@ TEST_F(ServerTest, SmuggledFramingRejectedBeforeDispatch) {
   EXPECT_EQ(fine->status, 200) << fine->body;
 }
 
+TEST_F(ServerTest, DuplicateAuthorizationRejectedBeforeDispatch) {
+  Bootstrap();
+  StartServer();
+  HttpClient client = MakeClient();
+  const std::string dr = Login(&client, "dr");
+  const std::string pat = Login(&client, "pat");
+  const std::string body = Obj({{"terms", Value(Value::Array{Value("x")})}});
+  auto search_with = [&](const std::string& auth_lines) {
+    HttpClient raw = MakeClient();
+    EXPECT_TRUE(raw.SendRaw("POST /v1/search HTTP/1.1\r\n" + auth_lines +
+                            "Content-Length: " +
+                            std::to_string(body.size()) + "\r\n\r\n" + body)
+                    .ok());
+    return raw.ReadResponse();
+  };
+
+  // Two identities in one request: a proxy vetting the first copy and a
+  // server using the last would disagree about who is calling, so the
+  // request never reaches routing.
+  auto split = search_with("Authorization: Bearer " + pat + "\r\n" +
+                           "Authorization: Bearer " + dr + "\r\n");
+  ASSERT_TRUE(split.ok()) << split.status().ToString();
+  EXPECT_EQ(split->status, 400);
+  // Identical copies, differently cased names: still a duplicate.
+  auto same = search_with("Authorization: Bearer " + dr + "\r\n" +
+                          "authorization: Bearer " + dr + "\r\n");
+  ASSERT_TRUE(same.ok()) << same.status().ToString();
+  EXPECT_EQ(same->status, 400);
+  // One copy is served as usual.
+  auto single = search_with("Authorization: Bearer " + dr + "\r\n");
+  ASSERT_TRUE(single.ok()) << single.status().ToString();
+  EXPECT_EQ(single->status, 200) << single->body;
+}
+
+TEST_F(ServerTest, BearerSchemeIsCaseInsensitive) {
+  Bootstrap();
+  StartServer();
+  HttpClient client = MakeClient();
+  const std::string dr = Login(&client, "dr");
+  const std::string body = Obj({{"terms", Value(Value::Array{Value("x")})}});
+  auto send = [&](const std::string& method, const std::string& path,
+                  const std::string& authorization,
+                  const std::string& payload) {
+    HttpClient raw = MakeClient();
+    EXPECT_TRUE(raw.SendRaw(method + " " + path + " HTTP/1.1\r\n" +
+                            "Authorization: " + authorization + "\r\n" +
+                            "Content-Length: " +
+                            std::to_string(payload.size()) + "\r\n\r\n" +
+                            payload)
+                    .ok());
+    return raw.ReadResponse();
+  };
+
+  // RFC 7235 §2.1: the scheme matches in any case.
+  for (const char* scheme : {"bearer ", "BEARER ", "bEaReR "}) {
+    auto r = send("POST", "/v1/search", scheme + dr, body);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->status, 200) << scheme << ": " << r->body;
+  }
+  // Another scheme, or a scheme with no token, is no bearer credential.
+  for (const std::string& credential :
+       {"Basic " + dr, std::string("bearer"), "bearer" + dr}) {
+    auto r = send("POST", "/v1/search", credential, body);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->status, 401) << credential;
+    EXPECT_NE(r->body.find("missing bearer token"), std::string::npos)
+        << r->body;
+  }
+
+  // Logout under a lower-case scheme revokes the token it authenticated.
+  auto out = send("POST", "/v1/logout", "bearer " + dr, "");
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(out->status, 200) << out->body;
+  auto after = client.Do("POST", "/v1/search", body, dr);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->status, 401);
+  EXPECT_EQ(server_->sessions()->ActiveSessions(), 0u);
+}
+
 TEST_F(ServerTest, LogoutLeavesNoDistinguishableTrace) {
   Bootstrap();
   StartServer();
