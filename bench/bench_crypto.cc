@@ -1,6 +1,7 @@
 // E9 — crypto primitive throughput: the overhead budget behind every
-// other experiment. SHA-256, HMAC, AES-CTR, AEAD, Merkle operations,
-// WOTS/XMSS signing & verification, and XMSS key generation vs height.
+// other experiment. CRC32C framing, SHA-256, HMAC, HKDF, AES-CTR, AEAD
+// (including its per-key Init), Merkle operations, WOTS/XMSS signing &
+// verification, and XMSS key generation vs height.
 
 // Run with MEDVAULT_FORCE_SCALAR=1 to measure the portable fallback
 // kernels; the default run uses whatever the CPU dispatch selected
@@ -11,8 +12,10 @@
 #include <string>
 
 #include "bench_util.h"
+#include "common/crc32c_kernels.h"
 #include "crypto/aead.h"
 #include "crypto/ctr.h"
+#include "crypto/hkdf.h"
 #include "crypto/hmac.h"
 #include "crypto/merkle.h"
 #include "crypto/sha256.h"
@@ -25,6 +28,26 @@ namespace {
 
 using namespace medvault::crypto;
 using namespace medvault::crypto::internal;  // raw SHA-256 block kernels
+
+// CRC32C guards every log frame, segment entry and scrub pass: the
+// dispatched kernel (SSE4.2 where available) against the table fallback.
+void RunCrc32c(benchmark::State& state, crc32c::internal::ExtendFn fn) {
+  std::string data(state.range(0), 'x');
+  uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = fn(crc, data.data(), data.size());
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+void BM_Crc32cActive(benchmark::State& state) {
+  RunCrc32c(state, crc32c::internal::ActiveExtend());
+}
+void BM_Crc32cTable(benchmark::State& state) {
+  RunCrc32c(state, &crc32c::internal::ExtendTable);
+}
+BENCHMARK(BM_Crc32cActive)->Arg(64)->Arg(1024)->Arg(65536);
+BENCHMARK(BM_Crc32cTable)->Arg(64)->Arg(1024)->Arg(65536);
 
 void BM_Sha256(benchmark::State& state) {
   std::string data(state.range(0), 'x');
@@ -69,6 +92,16 @@ void BM_HmacSha256(benchmark::State& state) {
 }
 BENCHMARK(BM_HmacSha256)->Arg(64)->Arg(4096);
 
+// The 32-byte zero-salt HKDF every per-record key derivation runs.
+void BM_HkdfSha256(benchmark::State& state) {
+  std::string ikm(32, 'k');
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        HkdfSha256(ikm, Slice(), "medvault-index-key", 32));
+  }
+}
+BENCHMARK(BM_HkdfSha256);
+
 void BM_AesCtr(benchmark::State& state) {
   AesCtr ctr;
   (void)ctr.Init(std::string(32, 'k'));
@@ -80,6 +113,17 @@ void BM_AesCtr(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_AesCtr)->Arg(64)->Arg(4096)->Arg(65536);
+
+// Per-key setup (HKDF split, AES schedule, HMAC midstates): paid once
+// per record read and once per index posting opened.
+void BM_AeadInit(benchmark::State& state) {
+  std::string key(32, 'k');
+  for (auto _ : state) {
+    Aead aead;
+    benchmark::DoNotOptimize(aead.Init(key));
+  }
+}
+BENCHMARK(BM_AeadInit);
 
 void BM_AeadSeal(benchmark::State& state) {
   Aead aead;

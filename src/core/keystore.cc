@@ -60,10 +60,7 @@ std::string WrapNonce(const std::string& record_id) {
 }
 
 void WipeString(std::string* s) {
-  // Best-effort in-memory shredding; volatile prevents dead-store
-  // elimination of the overwrite.
-  volatile char* p = s->data();
-  for (size_t i = 0; i < s->size(); i++) p[i] = 0;
+  crypto::SecureWipe(s->data(), s->size());
   s->clear();
 }
 
@@ -296,7 +293,7 @@ Result<std::string> KeyStore::GetKeyRef(const RecordId& record_id) const {
 }
 
 Result<RecordId> KeyStore::ResolveKeyRef(const Slice& key_ref) const {
-  auto it = key_refs_.find(key_ref.ToString());
+  auto it = key_refs_.find(key_ref.ToStringView());
   if (it == key_refs_.end()) {
     return Status::NotFound("key ref unknown or destroyed");
   }

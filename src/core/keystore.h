@@ -1,6 +1,7 @@
 #ifndef MEDVAULT_CORE_KEYSTORE_H_
 #define MEDVAULT_CORE_KEYSTORE_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -145,7 +146,9 @@ class KeyStore {
   std::unique_ptr<crypto::HmacDrbg> drbg_;
   std::unique_ptr<storage::log::Writer> writer_;
   std::map<RecordId, KeyState> keys_;
-  std::map<std::string, RecordId> key_refs_;  // key-ref -> record
+  // key-ref -> record; transparent, so ResolveKeyRef looks up a Slice
+  // without copying it into a std::string per posting.
+  std::map<std::string, RecordId, std::less<>> key_refs_;
   uint64_t rewrite_generation_ = 0;
   bool open_ = false;
 };

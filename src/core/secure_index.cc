@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <unordered_set>
 
 #include "common/coding.h"
 #include "crypto/aead.h"
@@ -125,6 +126,7 @@ Result<std::vector<RecordId>> SecureIndex::Search(
   auto it = postings_.find(BlindTerm(term));
   if (it == postings_.end()) return results;
 
+  std::unordered_set<RecordId> seen;  // a record indexed twice under a term
   for (const Posting& posting : it->second) {
     auto record = keystore_->ResolveKeyRef(posting.key_ref);
     if (!record.ok()) continue;  // crypto-shredded: dead posting
@@ -141,10 +143,7 @@ Result<std::vector<RecordId>> SecureIndex::Search(
     if (*opened != *record) {
       return Status::TamperDetected("index posting names wrong record");
     }
-    if (std::find(results.begin(), results.end(), *opened) ==
-        results.end()) {
-      results.push_back(*opened);
-    }
+    if (seen.insert(*opened).second) results.push_back(std::move(*opened));
   }
   return results;
 }
@@ -217,13 +216,10 @@ Result<std::vector<RecordId>> SecureIndex::SearchAll(
   for (size_t i = 1; i < by_selectivity.size() && !result.empty(); i++) {
     MEDVAULT_ASSIGN_OR_RETURN(std::vector<RecordId> next,
                               Search(by_selectivity[i].second));
-    std::vector<RecordId> merged;
-    for (const RecordId& id : result) {
-      if (std::find(next.begin(), next.end(), id) != next.end()) {
-        merged.push_back(id);
-      }
-    }
-    result = std::move(merged);
+    const std::unordered_set<RecordId> in_next(next.begin(), next.end());
+    std::erase_if(result, [&in_next](const RecordId& id) {
+      return in_next.count(id) == 0;
+    });
   }
   return result;
 }

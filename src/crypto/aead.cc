@@ -1,10 +1,10 @@
 #include "crypto/aead.h"
 
+#include <cstring>
+
 #include "common/coding.h"
 #include "crypto/ctr.h"
 #include "crypto/hkdf.h"
-#include "crypto/hmac.h"
-#include "crypto/sha256.h"
 
 namespace medvault::crypto {
 
@@ -12,22 +12,33 @@ Status Aead::Init(const Slice& key) {
   if (key.size() != kAes256KeySize) {
     return Status::InvalidArgument("AEAD key must be 32 bytes");
   }
+  if (initialized_) Clear();
   MEDVAULT_ASSIGN_OR_RETURN(std::string okm,
                             HkdfSha256(key, Slice(), "medvault-aead-v1", 64));
-  cipher_key_ = okm.substr(0, 32);
-  mac_key_ = okm.substr(32, 32);
+  Status s = cipher_.Init(Slice(okm.data(), 32));
+  mac_.Init(Slice(okm.data() + 32, 32));
+  SecureWipe(okm.data(), okm.size());
+  MEDVAULT_RETURN_IF_ERROR(s);
   initialized_ = true;
   return Status::OK();
 }
 
-std::string Aead::ComputeTag(const Slice& nonce, const Slice& ciphertext,
-                             const Slice& aad) const {
-  std::string mac_input;
-  PutFixed64(&mac_input, aad.size());
-  mac_input.append(aad.data(), aad.size());
-  mac_input.append(nonce.data(), nonce.size());
-  mac_input.append(ciphertext.data(), ciphertext.size());
-  return HmacSha256(mac_key_, mac_input);
+void Aead::Clear() {
+  cipher_.Clear();
+  mac_.Clear();
+  initialized_ = false;
+}
+
+void Aead::ComputeTag(const Slice& nonce, const Slice& ciphertext,
+                      const Slice& aad, uint8_t tag[kDigestSize]) const {
+  char aad_len[8];
+  EncodeFixed64(aad_len, aad.size());
+  Sha256 h = mac_.Begin();
+  h.Update(Slice(aad_len, sizeof(aad_len)));
+  h.Update(aad);
+  h.Update(nonce);
+  h.Update(ciphertext);
+  mac_.Finish(&h, tag);
 }
 
 Result<std::string> Aead::Seal(const Slice& nonce, const Slice& plaintext,
@@ -36,16 +47,14 @@ Result<std::string> Aead::Seal(const Slice& nonce, const Slice& plaintext,
   if (nonce.size() != kCtrNonceSize) {
     return Status::InvalidArgument("AEAD nonce must be 16 bytes");
   }
-  AesCtr ctr;
-  MEDVAULT_RETURN_IF_ERROR(ctr.Init(cipher_key_));
-  MEDVAULT_ASSIGN_OR_RETURN(std::string ciphertext,
-                            ctr.Crypt(nonce, plaintext));
-
-  std::string out;
-  out.reserve(nonce.size() + ciphertext.size() + kDigestSize);
-  out.append(nonce.data(), nonce.size());
-  out.append(ciphertext);
-  out.append(ComputeTag(nonce, ciphertext, aad));
+  // nonce || ciphertext || tag, each written in place.
+  std::string out(kOverhead + plaintext.size(), '\0');
+  char* ciphertext = out.data() + kCtrNonceSize;
+  memcpy(out.data(), nonce.data(), kCtrNonceSize);
+  CtrXor(cipher_, nonce.data(), plaintext.data(), plaintext.size(),
+         ciphertext);
+  ComputeTag(nonce, Slice(ciphertext, plaintext.size()), aad,
+             reinterpret_cast<uint8_t*>(ciphertext + plaintext.size()));
   return out;
 }
 
@@ -59,13 +68,16 @@ Result<std::string> Aead::Open(const Slice& sealed, const Slice& aad) const {
                    sealed.size() - kOverhead);
   Slice tag(sealed.data() + sealed.size() - kDigestSize, kDigestSize);
 
-  std::string expected = ComputeTag(nonce, ciphertext, aad);
-  if (!ConstantTimeEqual(expected, tag)) {
+  uint8_t expected[kDigestSize];
+  ComputeTag(nonce, ciphertext, aad, expected);
+  if (!ConstantTimeEqual(
+          Slice(reinterpret_cast<const char*>(expected), kDigestSize), tag)) {
     return Status::TamperDetected("AEAD tag mismatch");
   }
-  AesCtr ctr;
-  MEDVAULT_RETURN_IF_ERROR(ctr.Init(cipher_key_));
-  return ctr.Crypt(nonce, ciphertext);
+  std::string plaintext(ciphertext.size(), '\0');
+  CtrXor(cipher_, nonce.data(), ciphertext.data(), ciphertext.size(),
+         plaintext.data());
+  return plaintext;
 }
 
 }  // namespace medvault::crypto

@@ -1,10 +1,13 @@
 #ifndef MEDVAULT_CRYPTO_AEAD_H_
 #define MEDVAULT_CRYPTO_AEAD_H_
 
+#include <cstdint>
 #include <string>
 
 #include "common/result.h"
 #include "common/slice.h"
+#include "crypto/aes.h"
+#include "crypto/hmac.h"
 
 namespace medvault::crypto {
 
@@ -17,13 +20,23 @@ namespace medvault::crypto {
 /// Wire format of Seal() output: nonce (16) || ciphertext || tag (32).
 ///
 /// The 32-byte AEAD key is split via HKDF into independent cipher and MAC
-/// keys, so a single key object cannot be misused across roles.
+/// keys, so a single key object cannot be misused across roles. Init()
+/// does all per-key work once — HKDF, the expanded AES schedule, the HMAC
+/// inner/outer midstates — and then wipes the HKDF output; Seal()/Open()
+/// stream the MAC input in place and allocate only their result. The
+/// schedule and midstates are wiped on re-Init() and destruction.
 class Aead {
  public:
   /// Total bytes Seal() adds to a plaintext.
   static constexpr size_t kOverhead = 16 + 32;  // nonce + tag
 
   Aead() = default;
+  ~Aead() {
+    if (initialized_) Clear();
+  }
+
+  Aead(const Aead&) = default;
+  Aead& operator=(const Aead&) = default;
 
   /// `key` must be 32 bytes of uniform randomness.
   Status Init(const Slice& key);
@@ -39,12 +52,14 @@ class Aead {
   Result<std::string> Open(const Slice& sealed, const Slice& aad) const;
 
  private:
-  std::string mac_key_;
-  std::string cipher_key_;
-  bool initialized_ = false;
+  void Clear();
 
-  std::string ComputeTag(const Slice& nonce, const Slice& ciphertext,
-                         const Slice& aad) const;
+  void ComputeTag(const Slice& nonce, const Slice& ciphertext,
+                  const Slice& aad, uint8_t tag[kDigestSize]) const;
+
+  Aes cipher_;
+  HmacSha256Key mac_;
+  bool initialized_ = false;
 };
 
 }  // namespace medvault::crypto

@@ -18,7 +18,8 @@ constexpr size_t kAes256KeySize = 32;
 /// AES-128/256 block cipher (FIPS 197) built from scratch. The round
 /// transform is dispatched once per process: AES-NI kernels on x86-64
 /// CPUs that support them, otherwise the table-free byte-oriented
-/// scalar implementation (MEDVAULT_FORCE_SCALAR pins the fallback).
+/// scalar implementation (MEDVAULT_FORCE_SCALAR pins the fallback). The
+/// AES-256 key schedule is dispatched the same way (aeskeygenassist).
 /// This class is the raw primitive; use AesCtr / Aead for actual data,
 /// never ECB-style direct block calls.
 class Aes {
@@ -32,6 +33,9 @@ class Aes {
   Status Init(const Slice& key);
 
   bool initialized() const { return rounds_ != 0; }
+
+  /// Overwrites the round keys and returns to the uninitialized state.
+  void Clear();
 
   /// Encrypts exactly one 16-byte block, in != out allowed to alias.
   void EncryptBlock(const uint8_t in[16], uint8_t out[16]) const;

@@ -1,7 +1,7 @@
 // AES block kernels using x86 AES-NI. Compiled as its own translation
 // unit with -maes -mssse3; only ever called after runtime CPUID
-// detection (see aes.cc dispatch). Key expansion stays in the portable
-// code — these kernels consume the byte-array round keys directly.
+// detection (see aes.cc dispatch). The kernels consume and produce the
+// same byte-array round keys as the portable code.
 
 #if defined(__x86_64__) && defined(MEDVAULT_HAVE_AES_NI)
 
@@ -17,7 +17,60 @@ inline __m128i LoadKey(const uint8_t rk[16]) {
   return _mm_loadu_si128(reinterpret_cast<const __m128i*>(rk));
 }
 
+// One step of the Intel AES-256 schedule (AES-NI white paper, fig. 28):
+// `assist` is aeskeygenassist of the previous odd round key, with its
+// RotWord/SubWord/Rcon word broadcast by `shuffle`.
+template <int kShuffle>
+inline __m128i ExpandStep(__m128i prev, __m128i assist) {
+  assist = _mm_shuffle_epi32(assist, kShuffle);
+  __m128i t = _mm_slli_si128(prev, 4);
+  prev = _mm_xor_si128(prev, t);
+  t = _mm_slli_si128(t, 4);
+  prev = _mm_xor_si128(prev, t);
+  t = _mm_slli_si128(t, 4);
+  prev = _mm_xor_si128(prev, t);
+  return _mm_xor_si128(prev, assist);
+}
+
+template <int kRcon>
+inline void ExpandPair(__m128i* even, __m128i* odd) {
+  *even = ExpandStep<0xff>(*even, _mm_aeskeygenassist_si128(*odd, kRcon));
+  *odd = ExpandStep<0xaa>(*odd, _mm_aeskeygenassist_si128(*even, 0));
+}
+
+inline void StoreKey(uint8_t rk[16], __m128i k) {
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(rk), k);
+}
+
 }  // namespace
+
+void AesNiExpandKey256(const uint8_t key[32], uint8_t round_keys[][16]) {
+  __m128i even = _mm_loadu_si128(reinterpret_cast<const __m128i*>(key));
+  __m128i odd = _mm_loadu_si128(reinterpret_cast<const __m128i*>(key + 16));
+  StoreKey(round_keys[0], even);
+  StoreKey(round_keys[1], odd);
+  ExpandPair<0x01>(&even, &odd);
+  StoreKey(round_keys[2], even);
+  StoreKey(round_keys[3], odd);
+  ExpandPair<0x02>(&even, &odd);
+  StoreKey(round_keys[4], even);
+  StoreKey(round_keys[5], odd);
+  ExpandPair<0x04>(&even, &odd);
+  StoreKey(round_keys[6], even);
+  StoreKey(round_keys[7], odd);
+  ExpandPair<0x08>(&even, &odd);
+  StoreKey(round_keys[8], even);
+  StoreKey(round_keys[9], odd);
+  ExpandPair<0x10>(&even, &odd);
+  StoreKey(round_keys[10], even);
+  StoreKey(round_keys[11], odd);
+  ExpandPair<0x20>(&even, &odd);
+  StoreKey(round_keys[12], even);
+  StoreKey(round_keys[13], odd);
+  // Round key 14 is the last: only the even half of a final pair.
+  even = ExpandStep<0xff>(even, _mm_aeskeygenassist_si128(odd, 0x40));
+  StoreKey(round_keys[14], even);
+}
 
 void AesNiEncryptBlocks(const uint8_t round_keys[][16], int rounds,
                         const uint8_t* in, uint8_t* out, size_t nblocks) {

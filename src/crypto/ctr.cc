@@ -28,6 +28,32 @@ inline void XorInto(char* out, const char* in, const uint8_t* keystream,
 
 }  // namespace
 
+void CtrXor(const Aes& aes, const char* nonce, const char* in, size_t n,
+            char* out) {
+  uint8_t counter[16];
+  memcpy(counter, nonce, 16);
+
+  uint8_t counters[kCtrBatchBlocks * 16];
+  uint8_t keystream[kCtrBatchBlocks * 16];
+  size_t off = 0;
+  while (off < n) {
+    const size_t remaining = n - off;
+    const size_t blocks =
+        std::min(kCtrBatchBlocks, (remaining + 15) / 16);
+    for (size_t b = 0; b < blocks; b++) {
+      memcpy(counters + b * 16, counter, 16);
+      // Increment low 64 bits big-endian.
+      for (int i = 15; i >= 8; i--) {
+        if (++counter[i] != 0) break;
+      }
+    }
+    aes.EncryptBlocks(counters, keystream, blocks);
+    const size_t chunk = std::min(blocks * 16, remaining);
+    XorInto(out + off, in + off, keystream, chunk);
+    off += chunk;
+  }
+}
+
 Status AesCtr::Init(const Slice& key) { return aes_.Init(key); }
 
 Result<std::string> AesCtr::Crypt(const Slice& nonce,
@@ -38,30 +64,8 @@ Result<std::string> AesCtr::Crypt(const Slice& nonce,
   if (nonce.size() != kCtrNonceSize) {
     return Status::InvalidArgument("CTR nonce must be 16 bytes");
   }
-
-  uint8_t counter[16];
-  memcpy(counter, nonce.data(), 16);
-
   std::string out(input.size(), '\0');
-  uint8_t counters[kCtrBatchBlocks * 16];
-  uint8_t keystream[kCtrBatchBlocks * 16];
-  size_t off = 0;
-  while (off < input.size()) {
-    const size_t remaining = input.size() - off;
-    const size_t blocks =
-        std::min(kCtrBatchBlocks, (remaining + 15) / 16);
-    for (size_t b = 0; b < blocks; b++) {
-      memcpy(counters + b * 16, counter, 16);
-      // Increment low 64 bits big-endian.
-      for (int i = 15; i >= 8; i--) {
-        if (++counter[i] != 0) break;
-      }
-    }
-    aes_.EncryptBlocks(counters, keystream, blocks);
-    const size_t n = std::min(blocks * 16, remaining);
-    XorInto(out.data() + off, input.data() + off, keystream, n);
-    off += n;
-  }
+  CtrXor(aes_, nonce.data(), input.data(), input.size(), out.data());
   return out;
 }
 

@@ -13,6 +13,13 @@ namespace medvault::crypto {
 /// block; the low 64 bits are incremented big-endian per block).
 constexpr size_t kCtrNonceSize = 16;
 
+/// XORs `n` bytes at `in` with the AES-CTR keystream of the expanded
+/// key `aes` for `nonce` (kCtrNonceSize bytes, starting block 0) into
+/// `out`. `in == out` is allowed. The raw-buffer form lets Aead encrypt
+/// straight into its output blob.
+void CtrXor(const Aes& aes, const char* nonce, const char* in, size_t n,
+            char* out);
+
 /// AES-CTR keystream cipher. Encryption and decryption are the same
 /// operation. CTR provides *no* integrity — always use through Aead.
 class AesCtr {

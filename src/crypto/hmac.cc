@@ -2,38 +2,55 @@
 
 #include <cstring>
 
-#include "crypto/sha256.h"
-
 namespace medvault::crypto {
 
-std::string HmacSha256(const Slice& key, const Slice& message) {
-  constexpr size_t kBlockSize = 64;
+namespace {
+constexpr size_t kBlockSize = 64;
+}  // namespace
 
-  // Keys longer than the block size are hashed first.
-  std::string key_block;
+void HmacSha256Key::Init(const Slice& key) {
+  uint8_t block[kBlockSize] = {};
   if (key.size() > kBlockSize) {
-    key_block = Sha256Digest(key);
-  } else {
-    key_block = key.ToString();
+    Sha256 h;
+    h.Update(key);
+    h.Finish(block);
+  } else if (!key.empty()) {
+    memcpy(block, key.data(), key.size());
   }
-  key_block.resize(kBlockSize, '\0');
+  const Slice block_slice(reinterpret_cast<const char*>(block), kBlockSize);
+  for (uint8_t& b : block) b ^= 0x36;
+  inner_.Reset();
+  inner_.Update(block_slice);
+  for (uint8_t& b : block) b ^= 0x36 ^ 0x5c;
+  outer_.Reset();
+  outer_.Update(block_slice);
+  SecureWipe(block, sizeof(block));
+}
 
-  std::string ipad(kBlockSize, '\0');
-  std::string opad(kBlockSize, '\0');
-  for (size_t i = 0; i < kBlockSize; i++) {
-    ipad[i] = static_cast<char>(key_block[i] ^ 0x36);
-    opad[i] = static_cast<char>(key_block[i] ^ 0x5c);
-  }
+void HmacSha256Key::Finish(Sha256* inner, uint8_t tag[kDigestSize]) const {
+  uint8_t inner_digest[kDigestSize];
+  inner->Finish(inner_digest);
+  Sha256 outer = outer_;
+  outer.Update(
+      Slice(reinterpret_cast<const char*>(inner_digest), kDigestSize));
+  outer.Finish(tag);
+}
 
-  Sha256 inner;
-  inner.Update(ipad);
-  inner.Update(message);
-  std::string inner_digest = inner.Finish();
+std::string HmacSha256Key::Mac(const Slice& message) const {
+  Sha256 h = Begin();
+  h.Update(message);
+  std::string tag(kDigestSize, '\0');
+  Finish(&h, reinterpret_cast<uint8_t*>(tag.data()));
+  return tag;
+}
 
-  Sha256 outer;
-  outer.Update(opad);
-  outer.Update(inner_digest);
-  return outer.Finish();
+void HmacSha256Key::Clear() {
+  SecureWipe(&inner_, sizeof(inner_));
+  SecureWipe(&outer_, sizeof(outer_));
+}
+
+std::string HmacSha256(const Slice& key, const Slice& message) {
+  return HmacSha256Key(key).Mac(message);
 }
 
 bool ConstantTimeEqual(const Slice& a, const Slice& b) {
@@ -43,6 +60,14 @@ bool ConstantTimeEqual(const Slice& a, const Slice& b) {
     diff |= static_cast<unsigned char>(a[i]) ^ static_cast<unsigned char>(b[i]);
   }
   return diff == 0;
+}
+
+void SecureWipe(void* data, size_t n) {
+  // memset called through a volatile function pointer: the compiler
+  // cannot prove the callee is memset, so it cannot drop the call as a
+  // dead store, and the wipe still runs at memset speed.
+  static void* (*const volatile wipe)(void*, int, size_t) = &memset;
+  wipe(data, 0, n);
 }
 
 }  // namespace medvault::crypto

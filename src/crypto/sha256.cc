@@ -2,7 +2,7 @@
 
 #include <cstring>
 
-#include "crypto/cpu_features.h"
+#include "common/cpu_features.h"
 #include "crypto/sha256_kernels.h"
 
 namespace medvault::crypto {
@@ -96,7 +96,7 @@ void Sha256BlocksScalar(uint32_t state[8], const uint8_t* blocks,
 namespace {
 
 Sha256BlockFn ResolveSha256Kernel() {
-  if (!ForceScalarCrypto()) {
+  if (!ForceScalarKernels()) {
 #if defined(__x86_64__) && defined(MEDVAULT_HAVE_SHA_NI)
     const CpuFeatures& f = GetCpuFeatures();
     if (f.sha_ni && f.ssse3 && f.sse41) return &Sha256BlocksShaNi;
@@ -166,7 +166,7 @@ void Sha256::Update(const Slice& data) {
   }
 }
 
-std::string Sha256::Finish() {
+void Sha256::Finish(uint8_t digest[kDigestSize]) {
   uint64_t bit_len = total_len_ * 8;
 
   // Padding: 0x80, zeros, 8-byte big-endian bit length.
@@ -180,13 +180,17 @@ std::string Sha256::Finish() {
   }
   Update(Slice(reinterpret_cast<char*>(pad), pad_len + 8));
 
-  std::string digest(kDigestSize, '\0');
   for (int i = 0; i < 8; i++) {
-    digest[i * 4] = static_cast<char>(state_[i] >> 24);
-    digest[i * 4 + 1] = static_cast<char>(state_[i] >> 16);
-    digest[i * 4 + 2] = static_cast<char>(state_[i] >> 8);
-    digest[i * 4 + 3] = static_cast<char>(state_[i]);
+    digest[i * 4] = static_cast<uint8_t>(state_[i] >> 24);
+    digest[i * 4 + 1] = static_cast<uint8_t>(state_[i] >> 16);
+    digest[i * 4 + 2] = static_cast<uint8_t>(state_[i] >> 8);
+    digest[i * 4 + 3] = static_cast<uint8_t>(state_[i]);
   }
+}
+
+std::string Sha256::Finish() {
+  std::string digest(kDigestSize, '\0');
+  Finish(reinterpret_cast<uint8_t*>(digest.data()));
   return digest;
 }
 

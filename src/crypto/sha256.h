@@ -40,6 +40,9 @@ class Sha256 {
   /// Returns the 32-byte digest of everything absorbed so far.
   std::string Finish();
 
+  /// Same, written into `digest` (no allocation).
+  void Finish(uint8_t digest[kDigestSize]);
+
  private:
   uint32_t state_[8];
   uint64_t total_len_;

@@ -9,7 +9,9 @@
 
 #include "common/clock.h"
 #include "common/coding.h"
+#include "common/cpu_features.h"
 #include "common/crc32c.h"
+#include "common/crc32c_kernels.h"
 #include "common/hex.h"
 #include "common/random.h"
 #include "common/result.h"
@@ -272,6 +274,87 @@ TEST(Crc32cTest, ExtendMatchesOneShot) {
   uint32_t split = crc32c::Extend(crc32c::Value(data.data(), 10),
                                   data.data() + 10, data.size() - 10);
   EXPECT_EQ(whole, split);
+}
+
+// Every CRC-32C kernel this binary can run here: the table fallback, the
+// SSE4.2 kernel when compiled in and supported by the CPU, and whatever
+// the dispatch selected (the table one under MEDVAULT_FORCE_SCALAR=1).
+struct Crc32cKernel {
+  const char* name;
+  crc32c::internal::ExtendFn fn;
+};
+
+std::vector<Crc32cKernel> Crc32cKernels() {
+  std::vector<Crc32cKernel> kernels = {
+      {"table", &crc32c::internal::ExtendTable},
+      {"active", crc32c::internal::ActiveExtend()}};
+#if defined(__x86_64__) && defined(MEDVAULT_HAVE_SSE42_CRC32C)
+  if (GetCpuFeatures().sse42) {
+    kernels.push_back({"sse42", &crc32c::internal::ExtendSse42});
+  }
+#endif
+  return kernels;
+}
+
+TEST(Crc32cTest, Rfc3720KnownAnswersOnEveryKernel) {
+  // RFC 3720 (iSCSI) appendix B.4 CRC32C examples.
+  std::string zeros(32, '\0');
+  std::string ones(32, '\xff');
+  std::string ascending(32, '\0');
+  std::string descending(32, '\0');
+  for (int i = 0; i < 32; i++) {
+    ascending[i] = static_cast<char>(i);
+    descending[i] = static_cast<char>(31 - i);
+  }
+  const unsigned char kReadPdu[48] = {
+      0x01, 0xc0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x14, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00,
+      0x00, 0x00, 0x00, 0x14, 0x00, 0x00, 0x00, 0x18, 0x28, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00};
+  const std::string read_pdu(reinterpret_cast<const char*>(kReadPdu),
+                             sizeof(kReadPdu));
+  const std::pair<std::string, uint32_t> kVectors[] = {
+      {zeros, 0x8a9136aau},      {ones, 0x62a8ab43u},
+      {ascending, 0x46dd794eu},  {descending, 0x113fdb5cu},
+      {read_pdu, 0xd9963a56u},   {"123456789", 0xe3069283u},
+  };
+  for (const Crc32cKernel& k : Crc32cKernels()) {
+    for (const auto& [data, crc] : kVectors) {
+      EXPECT_EQ(k.fn(0, data.data(), data.size()), crc)
+          << k.name << " on " << data.size() << " bytes";
+    }
+  }
+}
+
+TEST(Crc32cTest, KernelsAgreeOnRandomUnalignedSpans) {
+  // Random lengths (0..4 KiB, so every tail length and the 8-byte main
+  // loop are hit), random start offsets (every alignment), random
+  // chaining values; the span is also split at a random point, which
+  // must equal the one-shot value (Extend contract).
+  Random rng(0xc0ffee);
+  std::string buf(4096 + 64, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.Uniform(256));
+  const std::vector<Crc32cKernel> kernels = Crc32cKernels();
+  for (int iter = 0; iter < 2000; iter++) {
+    const size_t offset = rng.Uniform(16);
+    const size_t len = rng.Uniform(4096 + 1);
+    const uint32_t init = static_cast<uint32_t>(rng.Next());
+    const char* p = buf.data() + offset;
+    const uint32_t expected = crc32c::internal::ExtendTable(init, p, len);
+    const size_t split = rng.Uniform(len + 1);
+    for (const Crc32cKernel& k : kernels) {
+      ASSERT_EQ(k.fn(init, p, len), expected)
+          << k.name << " offset=" << offset << " len=" << len;
+      ASSERT_EQ(k.fn(k.fn(init, p, split), p + split, len - split), expected)
+          << k.name << " split=" << split << " len=" << len;
+    }
+  }
+}
+
+TEST(Crc32cTest, ForceScalarPinsTheTableKernel) {
+  if (!ForceScalarKernels()) GTEST_SKIP() << "MEDVAULT_FORCE_SCALAR unset";
+  EXPECT_EQ(crc32c::internal::ActiveExtend(),
+            &crc32c::internal::ExtendTable);
 }
 
 TEST(Crc32cTest, MaskUnmaskRoundTrip) {

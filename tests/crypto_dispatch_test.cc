@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cpu_features.h"
 #include "common/hex.h"
 #include "crypto/aes.h"
 #include "crypto/aes_kernels.h"
@@ -158,6 +159,37 @@ TEST(AesDispatchTest, Fips197KnownAnswers) {
     EXPECT_EQ(HexEncode(std::string(reinterpret_cast<char*>(ct), 16)),
               "8ea2b7ca516745bfeafc49904b496089");
   }
+}
+
+TEST(AesDispatchTest, NiKeyExpansionMatchesScalar) {
+  // The aeskeygenassist schedule must equal the FIPS 197 byte-oriented
+  // expansion word for word: every sealed blob depends on it. Checked on
+  // the FIPS 197 appendix A.3 key and on random keys.
+#if defined(__x86_64__) && defined(MEDVAULT_HAVE_AES_NI)
+  if (!GetCpuFeatures().aes_ni) GTEST_SKIP() << "CPU lacks AES-NI";
+  std::vector<std::string> keys = {
+      *HexDecode("603deb1015ca71be2b73aef0857d7781"
+                 "1f352c073b6108d72d9810a30914dff4")};
+  Prng prng(0x5eed5eed5eed5eedull);
+  for (int i = 0; i < 256; i++) keys.push_back(prng.NextBytes(32));
+  for (const std::string& key : keys) {
+    const auto* k = reinterpret_cast<const uint8_t*>(key.data());
+    uint8_t scalar[15][16];
+    uint8_t ni[15][16];
+    internal::AesExpandKeyScalar(k, 32, scalar);
+    internal::AesNiExpandKey256(k, ni);
+    ASSERT_EQ(std::memcmp(scalar, ni, sizeof(scalar)), 0)
+        << "schedule diverged for key " << HexEncode(key);
+  }
+  // FIPS 197 A.3: the last round key (w[56..59]).
+  uint8_t rk[15][16];
+  internal::AesNiExpandKey256(
+      reinterpret_cast<const uint8_t*>(keys[0].data()), rk);
+  EXPECT_EQ(HexEncode(std::string(reinterpret_cast<char*>(rk[14]), 16)),
+            "fe4890d1e6188d0b046df344706c631e");
+#else
+  GTEST_SKIP() << "AES-NI kernel not compiled in";
+#endif
 }
 
 TEST(AesDispatchTest, EncryptBlocksMatchesSingleBlockCalls) {

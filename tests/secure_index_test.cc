@@ -6,8 +6,11 @@
 #include <memory>
 #include <string>
 
+#include "common/coding.h"
 #include "core/keystore.h"
 #include "core/secure_index.h"
+#include "storage/log_reader.h"
+#include "storage/log_writer.h"
 #include "storage/mem_env.h"
 
 namespace medvault::core {
@@ -33,6 +36,48 @@ class SecureIndexTest : public ::testing::Test {
                  const std::vector<std::string>& terms) {
     ASSERT_TRUE(keystore_->CreateKey(id).ok());
     ASSERT_TRUE(index_->AddPostings(id, terms).ok());
+  }
+
+  // One on-disk posting: blinded term, record key-ref, sealed record id.
+  struct RawPosting {
+    std::string blind, key_ref, sealed;
+  };
+
+  std::vector<RawPosting> ReadRawPostings() {
+    std::unique_ptr<storage::SequentialFile> src;
+    EXPECT_TRUE(env_.NewSequentialFile("index.log", &src).ok());
+    storage::log::Reader reader(std::move(src));
+    std::vector<RawPosting> out;
+    std::string record;
+    while (reader.ReadRecord(&record)) {
+      Slice in = record;
+      RawPosting p;
+      EXPECT_TRUE(GetLengthPrefixedString(&in, &p.blind) &&
+                  GetLengthPrefixedString(&in, &p.key_ref) &&
+                  GetLengthPrefixedString(&in, &p.sealed));
+      out.push_back(std::move(p));
+    }
+    return out;
+  }
+
+  // Rewrites the posting log with validly framed (CRC-correct) postings,
+  // so only the index's own authentication can catch the edit, then
+  // reopens the index over it.
+  void RewriteAndReopen(const std::vector<RawPosting>& postings) {
+    index_.reset();
+    std::unique_ptr<storage::WritableFile> dest;
+    ASSERT_TRUE(env_.NewWritableFile("index.log", &dest).ok());
+    storage::log::Writer writer(std::move(dest));
+    for (const RawPosting& p : postings) {
+      std::string entry;
+      PutLengthPrefixed(&entry, p.blind);
+      PutLengthPrefixed(&entry, p.key_ref);
+      PutLengthPrefixed(&entry, p.sealed);
+      ASSERT_TRUE(writer.AddRecord(entry).ok());
+    }
+    ASSERT_TRUE(writer.Sync().ok());
+    ASSERT_TRUE(writer.Close().ok());
+    OpenIndex();
   }
 
   storage::MemEnv env_;
@@ -149,6 +194,60 @@ TEST_F(SecureIndexTest, DifferentIndexMasterKeysAreDisjoint) {
   auto hits = other.Search("cancer");
   ASSERT_TRUE(hits.ok());
   EXPECT_TRUE(hits->empty());
+}
+
+TEST_F(SecureIndexTest, FlippedSealedIdIsTamperNotDeletion) {
+  AddRecord("r-1", {"cancer"});
+  AddRecord("r-2", {"cancer", "flu"});
+  std::vector<RawPosting> postings = ReadRawPostings();
+  ASSERT_EQ(postings.size(), 3u);
+  // Flip one ciphertext byte of r-2's "cancer" posting (after the nonce).
+  postings[1].sealed[16] ^= 0x01;
+  RewriteAndReopen(postings);
+  EXPECT_TRUE(index_->Search("cancer").status().IsTamperDetected());
+  EXPECT_TRUE(index_->SearchAll({"flu", "cancer"}).status().IsTamperDetected());
+  EXPECT_TRUE(index_->VerifyIntegrity().IsTamperDetected());
+  // Postings of other terms are untouched.
+  auto flu = index_->Search("flu");
+  ASSERT_TRUE(flu.ok());
+  EXPECT_EQ(*flu, std::vector<RecordId>{"r-2"});
+}
+
+TEST_F(SecureIndexTest, KeyRefCopiedUnderAnotherBlindIsTamper) {
+  AddRecord("r-1", {"cancer"});
+  AddRecord("r-2", {"flu"});
+  const std::vector<RawPosting> honest = ReadRawPostings();
+  ASSERT_EQ(honest.size(), 2u);
+  const RawPosting& cancer = honest[0];
+  const RawPosting& flu = honest[1];
+
+  // r-1's whole posting replayed under "flu": its id is sealed with the
+  // "cancer" blind as associated data, so it cannot open under "flu".
+  RewriteAndReopen({cancer, flu, RawPosting{flu.blind, cancer.key_ref,
+                                            cancer.sealed}});
+  EXPECT_TRUE(index_->Search("flu").status().IsTamperDetected());
+
+  // r-1's key-ref grafted onto r-2's sealed id: resolves to r-1, whose
+  // index key cannot open a blob sealed under r-2's.
+  RewriteAndReopen({cancer, RawPosting{flu.blind, cancer.key_ref,
+                                       flu.sealed}});
+  EXPECT_TRUE(index_->Search("flu").status().IsTamperDetected());
+
+  // The honest log still searches clean.
+  RewriteAndReopen(honest);
+  auto hits = index_->Search("flu");
+  ASSERT_TRUE(hits.ok());
+  EXPECT_EQ(*hits, std::vector<RecordId>{"r-2"});
+}
+
+TEST_F(SecureIndexTest, SearchAllKeepsPostingOrderOfRarestTerm) {
+  AddRecord("r-3", {"common", "rare"});
+  AddRecord("r-1", {"common", "common"});
+  AddRecord("r-2", {"common", "rare"});
+  AddRecord("r-4", {"common", "rare"});
+  auto hits = index_->SearchAll({"common", "rare"});
+  ASSERT_TRUE(hits.ok());
+  EXPECT_EQ(*hits, (std::vector<RecordId>{"r-3", "r-2", "r-4"}));
 }
 
 }  // namespace

@@ -3,17 +3,19 @@
 # then the crash/fault matrix, the cross-shard stress battery, the
 # observability battery, the media-fault scrub/repair battery, the
 # async-env/group-commit batteries, the HTTP server battery, the
-# verified-replication battery, the audit-transparency battery, and the
-# patient-driven-sharing consent battery (`ctest -L
-# "crash|stress|obs|scrub|env|commit|serve|repl|transparency|consent"`)
+# verified-replication battery, the audit-transparency battery, the
+# patient-driven-sharing consent battery, and the integrity-kernel battery
+# (`ctest -L
+# "crash|stress|obs|scrub|env|commit|serve|repl|transparency|consent|kernels"`)
 # rebuilt under AddressSanitizer and UndefinedBehaviorSanitizer, then the
-# stress + obs + commit + serve + repl + transparency + consent
+# stress + obs + commit + serve + repl + transparency + consent + kernels
 # batteries under
 # ThreadSanitizer — the shared cache / ingest-pool races, the lock-free
 # metrics hot path, the group-commit leader/follower handoff, the
 # acceptor/worker socket hand-off, the cut-under-exclusive-lock vs
 # apply-pool interplay, and the proof-serving-vs-concurrent-append
-# interleaving only surface instrumented.
+# interleaving only surface instrumented (the kernels battery covers the
+# CRC32C/AEAD raw-buffer paths, hardware and MEDVAULT_FORCE_SCALAR=1).
 # A final configuration forces -DMEDVAULT_IO_URING=OFF and re-runs the
 # env + commit batteries so the thread-pool sync fallback stays proven
 # even on hosts where liburing is found. The bench_compare fixture
@@ -43,9 +45,9 @@ run_config() {
 }
 
 run_config "$prefix" "" ""
-run_config "${prefix}-asan" address "crash|stress|obs|scrub|env|commit|serve|repl|transparency|consent"
-run_config "${prefix}-ubsan" undefined "crash|stress|obs|scrub|env|commit|serve|repl|transparency|consent"
-run_config "${prefix}-tsan" thread "stress|obs|commit|serve|repl|transparency|consent"
+run_config "${prefix}-asan" address "crash|stress|obs|scrub|env|commit|serve|repl|transparency|consent|kernels"
+run_config "${prefix}-ubsan" undefined "crash|stress|obs|scrub|env|commit|serve|repl|transparency|consent|kernels"
+run_config "${prefix}-tsan" thread "stress|obs|commit|serve|repl|transparency|consent|kernels"
 run_config "${prefix}-nouring" "" "env|commit" "-DMEDVAULT_IO_URING=OFF"
 
 echo "smoke suite passed"
