@@ -10,7 +10,6 @@
 
 #include "bench_util.h"
 #include "core/sharded_vault.h"
-#include "storage/async_env.h"
 
 namespace medvault::bench {
 namespace {
@@ -167,43 +166,44 @@ BENCHMARK(BM_Ingest_ShardedBatch)
 // costs, and how the batched/windowed commit path collapses it.
 // ---------------------------------------------------------------------------
 //
-// All durable benchmarks run on the same stack the production path
-// would use:  MemEnv (simulated ~100us media sync) → AsyncEnv (the
-// batched completion backend, so one commit window's barriers overlap)
-// → InstrumentedEnv (fsync tallies).  Every variant reports
+// All durable benchmarks run on simulated media, not on the stack that
+// serves traffic (medvaultd and perfbench open PosixEnv directly):
+// MemEnv (simulated ~100us media sync) → InstrumentedEnv (fsync
+// tallies). Each sync wave runs its barriers inline, one after another
+// (Env's default SubmitSyncs), as PosixEnv does. Every variant reports
 // `fsync_per_op` — syncs per acknowledged record — which is the number
-// group commit is supposed to drive toward flat: 6000 milli-fsyncs/op
+// group commit is supposed to drive toward flat: 7000 milli-fsyncs/op
 // for the per-op policy, and a curve falling toward zero as the batch
 // or window grows, at IDENTICAL durability (nothing is acknowledged
 // before a covering sync wave completes).
 
 /// Simulated media sync latency. ~100us sits between an enterprise SSD
 /// flush and an NVMe one; what matters is that it is large enough for
-/// overlap and coalescing to be visible in wall-clock.
+/// coalescing to be visible in wall-clock.
 constexpr uint64_t kSimSyncMicros = 100;
 
-/// MemEnv → AsyncEnv → InstrumentedEnv + an open vault, for the
+/// Simulated media: MemEnv with a sync delay, counted by an
+/// InstrumentedEnv into obs::ProcessIoStats().
+struct SimulatedMedia {
+  SimulatedMedia() { env.SetSyncDelayMicros(kSimSyncMicros); }
+
+  storage::MemEnv env;
+  storage::InstrumentedEnv ienv{&env, obs::ProcessIoStats()};
+  ManualClock clock{1000000};
+};
+
+/// An open standalone vault on simulated media, for the single-writer
 /// durable-ingest variants.
 class DurableVault {
  public:
-  explicit DurableVault(uint64_t commit_window_micros)
-      : aenv_(&env_,
-              [] {
-                storage::AsyncEnv::Options o;
-                o.threads = 8;
-                return o;
-              }()),
-        ienv_(&aenv_, obs::ProcessIoStats()),
-        clock_(1000000) {
-    env_.SetSyncDelayMicros(kSimSyncMicros);
+  DurableVault() {
     core::VaultOptions options;
-    options.env = &ienv_;
+    options.env = &media_.ienv;
     options.dir = "durable";
-    options.clock = &clock_;
+    options.clock = &media_.clock;
     options.master_key = std::string(32, 'M');
     options.entropy = "bench-durable-entropy";
     options.signer_height = 8;
-    options.commit_window_micros = commit_window_micros;
     auto opened = core::Vault::Open(options);
     if (!opened.ok()) {
       fprintf(stderr, "durable vault open failed: %s\n",
@@ -224,11 +224,53 @@ class DurableVault {
   core::Vault* vault() { return vault_.get(); }
 
  private:
-  storage::MemEnv env_;
-  storage::AsyncEnv aenv_;
-  storage::InstrumentedEnv ienv_;
-  ManualClock clock_;
+  SimulatedMedia media_;
   std::unique_ptr<core::Vault> vault_;
+};
+
+/// An open ShardedVault on simulated media — the engine whose group
+/// committer coalesces concurrent writers — with a physician "dr"
+/// caring for 16 patients spread over the shards.
+class ShardedDurableVault {
+ public:
+  ShardedDurableVault(uint32_t num_shards, uint64_t commit_window_micros) {
+    core::ShardedVaultOptions options;
+    options.env = &media_.ienv;
+    options.dir = "sharded-durable";
+    options.clock = &media_.clock;
+    options.master_key = std::string(32, 'M');
+    options.entropy = "bench-sharded-durable-entropy";
+    options.num_shards = num_shards;
+    options.signer_height = 8;
+    options.commit_window_micros = commit_window_micros;
+    auto opened = core::ShardedVault::Open(options);
+    if (!opened.ok()) {
+      fprintf(stderr, "sharded durable vault open failed: %s\n",
+              opened.status().ToString().c_str());
+      abort();
+    }
+    vault_ = std::move(*opened);
+    (void)vault_->RegisterPrincipal("boot",
+                                    {"admin", core::Role::kAdmin, "A"});
+    (void)vault_->RegisterPrincipal("admin",
+                                    {"dr", core::Role::kPhysician, "D"});
+    for (int p = 0; p < 16; ++p) {
+      std::string patient = "pat-" + std::to_string(p);
+      (void)vault_->RegisterPrincipal(
+          "admin", {patient, core::Role::kPatient, patient});
+      (void)vault_->AssignCare("admin", "dr", patient);
+      patients_.push_back(std::move(patient));
+    }
+    (void)vault_->SyncAll();
+  }
+
+  core::ShardedVault* vault() { return vault_.get(); }
+  const std::vector<std::string>& patients() const { return patients_; }
+
+ private:
+  SimulatedMedia media_;
+  std::unique_ptr<core::ShardedVault> vault_;
+  std::vector<std::string> patients_;
 };
 
 core::Vault::NewRecord MakeDurableRecord(sim::EhrGenerator* gen) {
@@ -259,7 +301,7 @@ void ReportFsyncPerOp(benchmark::State& state, int64_t records,
 // The equal-durability baseline: one record, one SyncAll, every time —
 // the fsync-per-op policy E1's caption warns about.
 void BM_Ingest_DurablePerOp(benchmark::State& state) {
-  DurableVault fixture(/*commit_window_micros=*/0);
+  DurableVault fixture;
   sim::EhrGenerator::Options gen_options;
   gen_options.note_bytes = 1024;
   sim::EhrGenerator gen(7, gen_options);
@@ -284,7 +326,7 @@ void BM_Ingest_DurablePerOp(benchmark::State& state) {
 // committed sync wave. fsync_per_op must fall roughly as 1/batch.
 void BM_Ingest_DurableBatch(benchmark::State& state) {
   const size_t batch_size = static_cast<size_t>(state.range(0));
-  DurableVault fixture(/*commit_window_micros=*/0);
+  DurableVault fixture;
   sim::EhrGenerator::Options gen_options;
   gen_options.note_bytes = 1024;
   sim::EhrGenerator gen(7, gen_options);
@@ -306,14 +348,16 @@ void BM_Ingest_DurableBatch(benchmark::State& state) {
 }
 
 // Concurrent writers sharing a commit window: kWriters threads each
-// durably commit a small batch per iteration; the window axis
-// (`--commit_window_us`) trades acknowledgement latency for coalescing.
-// Window 0 still coalesces opportunistically behind in-flight waves.
+// durably commit a small batch per iteration to a one-shard
+// ShardedVault, whose group committer is the only coalescing point; the
+// window axis (`--commit_window_us`) trades acknowledgement latency for
+// coalescing. Window 0 still coalesces opportunistically behind
+// in-flight waves.
 void BM_Ingest_DurableConcurrent(benchmark::State& state) {
   const uint64_t window_us = static_cast<uint64_t>(state.range(0));
   constexpr int kWriters = 4;
   constexpr size_t kBatch = 8;
-  DurableVault fixture(window_us);
+  ShardedDurableVault fixture(/*num_shards=*/1, window_us);
 
   // Pre-built per-writer batches (copied each iteration): generation
   // cost stays out of the contended section, and the generator is not
@@ -325,6 +369,7 @@ void BM_Ingest_DurableConcurrent(benchmark::State& state) {
   for (auto& batch : templates) {
     for (size_t i = 0; i < kBatch; ++i) {
       batch.push_back(MakeDurableRecord(&gen));
+      batch.back().patient_id = fixture.patients()[0];
     }
   }
 
@@ -351,45 +396,14 @@ void BM_Ingest_DurableConcurrent(benchmark::State& state) {
 }
 
 // Cross-shard durable batch: CreateRecordsBatchDurable on a 2-shard
-// vault — one group-committed wave syncs BOTH shards concurrently on
-// the AsyncEnv backend. Compare against BM_Ingest_ShardedDurablePerOp
+// vault — one group-committed wave syncs BOTH shards, fanned out over
+// the vault's worker pool. Compare against BM_Ingest_ShardedDurablePerOp
 // (same stack, SyncAll per record) for the headline at-equal-durability
 // speedup.
 void RunShardedDurable(benchmark::State& state, size_t batch_size) {
-  constexpr int kPatients = 16;
-  storage::MemEnv env;
-  env.SetSyncDelayMicros(kSimSyncMicros);
-  storage::AsyncEnv::Options async_options;
-  async_options.threads = 8;
-  storage::AsyncEnv aenv(&env, async_options);
-  storage::InstrumentedEnv ienv(&aenv, obs::ProcessIoStats());
-  ManualClock clock(1000000);
-  core::ShardedVaultOptions options;
-  options.env = &ienv;
-  options.dir = "sharded-durable";
-  options.clock = &clock;
-  options.master_key = std::string(32, 'M');
-  options.entropy = "bench-sharded-durable-entropy";
-  options.num_shards = 2;
-  options.signer_height = 8;
-  auto opened = core::ShardedVault::Open(options);
-  if (!opened.ok()) {
-    state.SkipWithError(opened.status().ToString().c_str());
-    return;
-  }
-  core::ShardedVault* vault = opened->get();
-  (void)vault->RegisterPrincipal("boot", {"admin", core::Role::kAdmin, "A"});
-  (void)vault->RegisterPrincipal("admin",
-                                 {"dr", core::Role::kPhysician, "D"});
-  std::vector<std::string> patients;
-  for (int p = 0; p < kPatients; ++p) {
-    std::string patient = "pat-" + std::to_string(p);
-    (void)vault->RegisterPrincipal(
-        "admin", {patient, core::Role::kPatient, patient});
-    (void)vault->AssignCare("admin", "dr", patient);
-    patients.push_back(std::move(patient));
-  }
-  (void)vault->SyncAll();
+  ShardedDurableVault fixture(/*num_shards=*/2, /*commit_window_micros=*/0);
+  core::ShardedVault* vault = fixture.vault();
+  const std::vector<std::string>& patients = fixture.patients();
 
   sim::EhrGenerator::Options gen_options;
   gen_options.note_bytes = 1024;
@@ -399,14 +413,11 @@ void RunShardedDurable(benchmark::State& state, size_t batch_size) {
   int64_t records = 0;
   size_t next_patient = 0;
   for (auto _ : state) {
-    std::vector<core::Vault::NewRecord> batch(batch_size);
-    for (core::Vault::NewRecord& r : batch) {
-      sim::EhrRecord e = gen.Next();
-      r.patient_id = patients[next_patient++ % patients.size()];
-      r.content_type = "text/plain";
-      r.plaintext = std::move(e.text);
-      r.keywords = std::move(e.keywords);
-      r.retention_policy = "short-1y";
+    std::vector<core::Vault::NewRecord> batch;
+    batch.reserve(batch_size);
+    for (size_t i = 0; i < batch_size; ++i) {
+      batch.push_back(MakeDurableRecord(&gen));
+      batch.back().patient_id = patients[next_patient++ % patients.size()];
     }
     if (batch_size == 1) {
       // Per-op policy on the sharded stack: create, then SyncAll.

@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "core/replication.h"
 #include "core/sharded_vault.h"
 #include "core/vault.h"
@@ -139,40 +140,20 @@ struct ViewPoint {
   double p99_us;
 };
 
-void WriteBenchJson(const std::vector<ShipPoint>& ship,
-                    const std::vector<ViewPoint>& views) {
-  FILE* f = fopen("BENCH_replication.json", "w");
-  if (f == nullptr) {
-    fprintf(stderr, "cannot write BENCH_replication.json\n");
-    return;
-  }
-  fprintf(f, "{\n  \"context\": {\n");
-  fprintf(f, "    \"executable\": \"./bench_replication\",\n");
-  fprintf(f, "    \"library_build_type\": \"release\"\n  },\n");
-  fprintf(f, "  \"benchmarks\": [\n");
-  bool first = true;
-  auto entry = [&](const std::string& name, double real_time_us,
-                   double items_per_second) {
-    fprintf(f, "%s    {\n      \"name\": \"%s\",\n", first ? "" : ",\n",
-            name.c_str());
-    fprintf(f, "      \"run_type\": \"iteration\",\n");
-    fprintf(f, "      \"iterations\": 1,\n");
-    fprintf(f, "      \"real_time\": %.3f,\n", real_time_us);
-    fprintf(f, "      \"cpu_time\": %.3f,\n", real_time_us);
-    fprintf(f, "      \"time_unit\": \"us\",\n");
-    fprintf(f, "      \"items_per_second\": %.3f\n    }", items_per_second);
-    first = false;
-  };
+void WriteReplicationJson(const std::vector<ShipPoint>& ship,
+                          const std::vector<ViewPoint>& views) {
+  std::vector<BenchEntry> entries;
   for (const ShipPoint& p : ship) {
-    entry("BM_ReplicationShip/records:" + std::to_string(p.records),
-          p.cut_us + p.apply_us, p.mb_per_sec * 1e6);
+    entries.push_back({"BM_ReplicationShip/records:" +
+                           std::to_string(p.records),
+                       p.cut_us + p.apply_us, p.mb_per_sec * 1e6});
   }
   for (const ViewPoint& v : views) {
-    entry("BM_ReplicaViewRead/unshipped:" + std::to_string(v.unshipped),
-          v.p99_us, v.p50_us > 0 ? 1e6 / v.p50_us : 0);
+    entries.push_back(
+        {"BM_ReplicaViewRead/unshipped:" + std::to_string(v.unshipped),
+         v.p99_us, v.p50_us > 0 ? 1e6 / v.p50_us : 0});
   }
-  fprintf(f, "\n  ]\n}\n");
-  fclose(f);
+  WriteBenchJson("replication", entries);
 }
 
 }  // namespace
@@ -237,13 +218,7 @@ int main() {
 
     // Health snapshot while both endpoints are live: the conditional
     // repl section carries the shipped/applied/lag posture.
-    int64_t now_micros =
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::system_clock::now().time_since_epoch())
-            .count();
-    health = medvault::obs::CollectProcessHealth(
-        now_micros, medvault::obs::MetricsRegistry::Default(),
-        medvault::obs::ProcessIoStats());
+    health = CollectProcessHealthNow();
     medvault::obs::FillReplicationHealth(&health, &source, applier->get());
   }
 
@@ -346,13 +321,7 @@ int main() {
            "amortizes); view p50/p99 stay flat as lag grows.\n");
   }
 
-  WriteBenchJson(ship, views);
-  medvault::Status health_status = medvault::obs::WriteHealthFile(
-      medvault::storage::PosixEnv::Default(), health,
-      "HEALTH_replication.json");
-  if (!health_status.ok()) {
-    fprintf(stderr, "health report write failed: %s\n",
-            health_status.ToString().c_str());
-  }
+  WriteReplicationJson(ship, views);
+  WriteHealthJson("replication", health);
   return 0;
 }

@@ -29,6 +29,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_util.h"
 #include "core/sharded_vault.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
@@ -283,42 +284,20 @@ SaturationResult RunSaturation(Instance* in, int offered) {
   return result;
 }
 
-void WriteBenchJson(const std::vector<CurvePoint>& curve,
+void WriteServeJson(const std::vector<CurvePoint>& curve,
                     const SaturationResult& saturation) {
-  FILE* f = fopen("BENCH_serve.json", "w");
-  if (f == nullptr) {
-    fprintf(stderr, "cannot write BENCH_serve.json\n");
-    return;
-  }
-  fprintf(f, "{\n  \"context\": {\n");
-  fprintf(f, "    \"executable\": \"./bench_serve\",\n");
-  fprintf(f, "    \"library_build_type\": \"release\"\n  },\n");
-  fprintf(f, "  \"benchmarks\": [\n");
-  bool first = true;
-  auto entry = [&](const std::string& name, double real_time_us,
-                   double items_per_second) {
-    fprintf(f, "%s    {\n      \"name\": \"%s\",\n", first ? "" : ",\n",
-            name.c_str());
-    fprintf(f, "      \"run_type\": \"iteration\",\n");
-    fprintf(f, "      \"iterations\": 1,\n");
-    fprintf(f, "      \"real_time\": %.3f,\n", real_time_us);
-    fprintf(f, "      \"cpu_time\": %.3f,\n", real_time_us);
-    fprintf(f, "      \"time_unit\": \"us\",\n");
-    fprintf(f, "      \"items_per_second\": %.3f\n    }", items_per_second);
-    first = false;
-  };
+  std::vector<BenchEntry> entries;
   for (const CurvePoint& p : curve) {
-    entry("BM_ServeRead/conns:" + std::to_string(p.conns), p.p99_us,
-          p.reqs_per_sec);
+    entries.push_back({"BM_ServeRead/conns:" + std::to_string(p.conns),
+                       p.p99_us, p.reqs_per_sec});
   }
   // Shed promptness as a throughput: 503s answered per second while
   // hard-saturated. A regression here means shedding started to block.
   if (saturation.shed_p50_us > 0) {
-    entry("BM_ServeShed503", saturation.shed_p99_us,
-          1e6 / saturation.shed_p50_us);
+    entries.push_back({"BM_ServeShed503", saturation.shed_p99_us,
+                       1e6 / saturation.shed_p50_us});
   }
-  fprintf(f, "\n  ]\n}\n");
-  fclose(f);
+  WriteBenchJson("serve", entries);
 }
 
 }  // namespace
@@ -368,19 +347,7 @@ int main() {
     in->server->Stop();
   }
 
-  WriteBenchJson(curve, saturation);
-
-  int64_t now_micros = std::chrono::duration_cast<std::chrono::microseconds>(
-                           std::chrono::system_clock::now().time_since_epoch())
-                           .count();
-  medvault::obs::HealthReport health = medvault::obs::CollectProcessHealth(
-      now_micros, medvault::obs::MetricsRegistry::Default(),
-      medvault::obs::ProcessIoStats());
-  medvault::Status health_status = medvault::obs::WriteHealthFile(
-      medvault::storage::PosixEnv::Default(), health, "HEALTH_serve.json");
-  if (!health_status.ok()) {
-    fprintf(stderr, "health report write failed: %s\n",
-            health_status.ToString().c_str());
-  }
+  WriteServeJson(curve, saturation);
+  WriteHealthJson("serve", CollectProcessHealthNow());
   return 0;
 }

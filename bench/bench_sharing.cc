@@ -29,6 +29,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_util.h"
 #include "core/sharded_vault.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
@@ -287,39 +288,18 @@ ChurnResult RunChurn(Instance* in, int tenants, int iterations) {
   return result;
 }
 
-void WriteBenchJson(const ReadPoint& care, const ReadPoint& consent,
-                    const ChurnResult& churn) {
-  FILE* f = fopen("BENCH_sharing.json", "w");
-  if (f == nullptr) {
-    fprintf(stderr, "cannot write BENCH_sharing.json\n");
-    return;
-  }
-  fprintf(f, "{\n  \"context\": {\n");
-  fprintf(f, "    \"executable\": \"./bench_sharing\",\n");
-  fprintf(f, "    \"library_build_type\": \"release\"\n  },\n");
-  fprintf(f, "  \"benchmarks\": [\n");
-  bool first = true;
-  auto entry = [&](const std::string& name, double real_time_us,
-                   double items_per_second) {
-    fprintf(f, "%s    {\n      \"name\": \"%s\",\n", first ? "" : ",\n",
-            name.c_str());
-    fprintf(f, "      \"run_type\": \"iteration\",\n");
-    fprintf(f, "      \"iterations\": 1,\n");
-    fprintf(f, "      \"real_time\": %.3f,\n", real_time_us);
-    fprintf(f, "      \"cpu_time\": %.3f,\n", real_time_us);
-    fprintf(f, "      \"time_unit\": \"us\",\n");
-    fprintf(f, "      \"items_per_second\": %.3f\n    }", items_per_second);
-    first = false;
+void WriteSharingJson(const ReadPoint& care, const ReadPoint& consent,
+                      const ChurnResult& churn) {
+  std::vector<BenchEntry> entries = {
+      {"BM_SharingRead/basis:care", care.p99_us, care.reads_per_sec},
+      {"BM_SharingRead/basis:consent", consent.p99_us,
+       consent.reads_per_sec},
   };
-  entry("BM_SharingRead/basis:care", care.p99_us, care.reads_per_sec);
-  entry("BM_SharingRead/basis:consent", consent.p99_us,
-        consent.reads_per_sec);
   if (churn.revoke_p50_us > 0) {
-    entry("BM_SharingRevoke", churn.revoke_p99_us,
-          1e6 / churn.revoke_p50_us);
+    entries.push_back(
+        {"BM_SharingRevoke", churn.revoke_p99_us, 1e6 / churn.revoke_p50_us});
   }
-  fprintf(f, "\n  ]\n}\n");
-  fclose(f);
+  WriteBenchJson("sharing", entries);
 }
 
 }  // namespace
@@ -381,19 +361,7 @@ int main() {
     in->server->Stop();
   }
 
-  WriteBenchJson(care, consent, churn);
-
-  int64_t now_micros = std::chrono::duration_cast<std::chrono::microseconds>(
-                           std::chrono::system_clock::now().time_since_epoch())
-                           .count();
-  medvault::obs::HealthReport health = medvault::obs::CollectProcessHealth(
-      now_micros, medvault::obs::MetricsRegistry::Default(),
-      medvault::obs::ProcessIoStats());
-  medvault::Status health_status = medvault::obs::WriteHealthFile(
-      medvault::storage::PosixEnv::Default(), health, "HEALTH_sharing.json");
-  if (!health_status.ok()) {
-    fprintf(stderr, "health report write failed: %s\n",
-            health_status.ToString().c_str());
-  }
+  WriteSharingJson(care, consent, churn);
+  WriteHealthJson("sharing", CollectProcessHealthNow());
   return 0;
 }

@@ -3,11 +3,12 @@
 
 // Shared helpers for the experiment harnesses: store factory over all
 // five models, population with the synthetic EHR workload, wall-clock
-// timing.
+// timing, and the BENCH_/HEALTH_ result files.
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cstdio>
 #include <functional>
 #include <memory>
 #include <string>
@@ -98,6 +99,65 @@ inline std::vector<std::string> Populate(baselines::RecordStore* store,
   return ids;
 }
 
+/// The process-wide health snapshot at this instant: default-registry
+/// op histograms plus the I/O accumulated in ProcessIoStats().
+inline obs::HealthReport CollectProcessHealthNow() {
+  int64_t now_micros = std::chrono::duration_cast<std::chrono::microseconds>(
+                           std::chrono::system_clock::now().time_since_epoch())
+                           .count();
+  return obs::CollectProcessHealth(now_micros, obs::MetricsRegistry::Default(),
+                                   obs::ProcessIoStats());
+}
+
+/// Writes `health` to HEALTH_<name>.json in the working directory.
+inline void WriteHealthJson(const std::string& name,
+                            const obs::HealthReport& health) {
+  Status status = obs::WriteHealthFile(storage::PosixEnv::Default(), health,
+                                       "HEALTH_" + name + ".json");
+  if (!status.ok()) {
+    fprintf(stderr, "health report write failed: %s\n",
+            status.ToString().c_str());
+  }
+}
+
+/// One result row of a plain-main() harness (see WriteBenchJson).
+struct BenchEntry {
+  std::string name;
+  double real_time_us = 0;
+  double items_per_second = 0;
+};
+
+/// Writes BENCH_<name>.json in google-benchmark's JSON result shape (one
+/// iteration per entry, cpu_time = real_time, in microseconds), so
+/// tools/bench_compare.py reads the plain-main() harnesses exactly like
+/// the google-benchmark binaries.
+inline void WriteBenchJson(const std::string& name,
+                           const std::vector<BenchEntry>& entries) {
+  const std::string path = "BENCH_" + name + ".json";
+  FILE* f = fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    fprintf(stderr, "cannot write %s\n", path.c_str());
+    return;
+  }
+  fprintf(f, "{\n  \"context\": {\n");
+  fprintf(f, "    \"executable\": \"./bench_%s\",\n", name.c_str());
+  fprintf(f, "    \"library_build_type\": \"release\"\n  },\n");
+  fprintf(f, "  \"benchmarks\": [\n");
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const BenchEntry& e = entries[i];
+    fprintf(f, "%s    {\n      \"name\": \"%s\",\n", i == 0 ? "" : ",\n",
+            e.name.c_str());
+    fprintf(f, "      \"run_type\": \"iteration\",\n");
+    fprintf(f, "      \"iterations\": 1,\n");
+    fprintf(f, "      \"real_time\": %.3f,\n", e.real_time_us);
+    fprintf(f, "      \"cpu_time\": %.3f,\n", e.real_time_us);
+    fprintf(f, "      \"time_unit\": \"us\",\n");
+    fprintf(f, "      \"items_per_second\": %.3f\n    }", e.items_per_second);
+  }
+  fprintf(f, "\n  ]\n}\n");
+  fclose(f);
+}
+
 /// Drop-in replacement for BENCHMARK_MAIN() that persists results: unless
 /// the caller already passed --benchmark_out, the JSON reporter writes to
 /// BENCH_<name>.json in the working directory, so perf trajectories can
@@ -127,17 +187,7 @@ inline int RunBenchmarkMain(const std::string& name, int argc, char** argv) {
   // The vaults under test are gone by now, but their op histograms
   // accumulated in the process-wide registry and their I/O in
   // ProcessIoStats() — snapshot both for the experiment scripts.
-  int64_t now_micros = std::chrono::duration_cast<std::chrono::microseconds>(
-                           std::chrono::system_clock::now().time_since_epoch())
-                           .count();
-  obs::HealthReport health = obs::CollectProcessHealth(
-      now_micros, obs::MetricsRegistry::Default(), obs::ProcessIoStats());
-  Status health_status = obs::WriteHealthFile(
-      storage::PosixEnv::Default(), health, "HEALTH_" + name + ".json");
-  if (!health_status.ok()) {
-    fprintf(stderr, "health report write failed: %s\n",
-            health_status.ToString().c_str());
-  }
+  WriteHealthJson(name, CollectProcessHealthNow());
   return 0;
 }
 

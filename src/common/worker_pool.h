@@ -10,8 +10,9 @@
 
 namespace medvault {
 
-/// A small persistent pool for fan-out work (cross-shard batches, the
-/// AsyncEnv completion backend). With zero threads every submission
+/// A small persistent pool for fan-out work (cross-shard batches and
+/// sync waves, replica applies, the server's connection loops). With
+/// zero threads every submission
 /// executes inline in submission order — the deterministic mode the
 /// crash matrix uses. Concurrent submitters interleave safely; each
 /// TaskGroup / RunAll call tracks its own completion state.

@@ -833,15 +833,19 @@ Result<std::unique_ptr<Vault>> ReplicaApplier::Promote(
 // ---------------------------------------------------------------------------
 
 ShardedReplicationSource::ShardedReplicationSource(ShardedVault* vault)
-    : vault_(vault) {
-  for (uint32_t k = 0; k < vault_->num_shards(); k++) {
-    Vault* shard = vault_->shard(k);
-    // Quarantined shards have no vault to cut from; their slot stays
-    // null and CutAll skips them (the replica keeps its last state).
-    sources_.push_back(shard != nullptr
-                           ? std::make_unique<ReplicationSource>(shard)
-                           : nullptr);
+    : vault_(vault), sources_(vault->num_shards()) {}
+
+ReplicationSource* ShardedReplicationSource::Source(uint32_t k) {
+  // Quarantined shards have no vault to cut from; they stay without a
+  // source (CutAll skips them, the replica keeps its last state) until
+  // RejoinShard mounts one. A mounted Vault* never changes afterwards.
+  Vault* shard = vault_->shard(k);
+  if (shard == nullptr) return nullptr;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (sources_[k] == nullptr) {
+    sources_[k] = std::make_unique<ReplicationSource>(shard);
   }
+  return sources_[k].get();
 }
 
 Result<std::vector<ShippedBatch>> ShardedReplicationSource::CutAll(
@@ -853,9 +857,10 @@ Result<std::vector<ShippedBatch>> ShardedReplicationSource::CutAll(
   std::vector<Status> statuses(sources_.size());
   TaskGroup group(vault_->pool());
   for (uint32_t k = 0; k < sources_.size(); k++) {
-    if (sources_[k] == nullptr) continue;
-    group.Submit([this, &cursors, &batches, &statuses, k] {
-      auto result = sources_[k]->CutBatch(cursors[k]);
+    ReplicationSource* source = Source(k);
+    if (source == nullptr) continue;
+    group.Submit([source, &cursors, &batches, &statuses, k] {
+      auto result = source->CutBatch(cursors[k]);
       if (result.ok()) {
         batches[k] = std::move(result).value();
       } else {
@@ -875,34 +880,33 @@ Result<std::string> ShardedReplicationSource::HandleCutRequest(
   if (shard >= sources_.size()) {
     return Status::NotFound("no such shard");
   }
-  if (sources_[shard] == nullptr) {
+  ReplicationSource* source = Source(shard);
+  if (source == nullptr) {
     return Status::FailedPrecondition("shard quarantined; stream paused");
   }
-  return sources_[shard]->HandleCutRequest(encoded_cursor);
+  return source->HandleCutRequest(encoded_cursor);
+}
+
+uint64_t ShardedReplicationSource::Sum(
+    uint64_t (ReplicationSource::*stat)() const) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  uint64_t total = 0;
+  for (const auto& s : sources_) {
+    if (s != nullptr) total += (s.get()->*stat)();
+  }
+  return total;
 }
 
 uint64_t ShardedReplicationSource::batches_shipped() const {
-  uint64_t total = 0;
-  for (const auto& s : sources_) {
-    if (s != nullptr) total += s->batches_shipped();
-  }
-  return total;
+  return Sum(&ReplicationSource::batches_shipped);
 }
 
 uint64_t ShardedReplicationSource::bytes_shipped() const {
-  uint64_t total = 0;
-  for (const auto& s : sources_) {
-    if (s != nullptr) total += s->bytes_shipped();
-  }
-  return total;
+  return Sum(&ReplicationSource::bytes_shipped);
 }
 
 uint64_t ShardedReplicationSource::lag_bytes() const {
-  uint64_t total = 0;
-  for (const auto& s : sources_) {
-    if (s != nullptr) total += s->last_lag_bytes();
-  }
-  return total;
+  return Sum(&ReplicationSource::last_lag_bytes);
 }
 
 ShardedReplicaApplier::ShardedReplicaApplier(Options options)

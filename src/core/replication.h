@@ -304,7 +304,10 @@ class ReplicaApplier {
 };
 
 /// Per-shard fan-out of ReplicationSource over a ShardedVault: one
-/// stream per shard, cut concurrently on the vault's ingest pool.
+/// stream per shard, cut concurrently on the vault's ingest pool. A
+/// shard's source is created on first use once the shard is mounted,
+/// so a shard brought back by RejoinShard streams again without a
+/// restart.
 class ShardedReplicationSource {
  public:
   explicit ShardedReplicationSource(ShardedVault* vault);
@@ -325,16 +328,19 @@ class ShardedReplicationSource {
   Result<std::string> HandleCutRequest(uint32_t shard,
                                        const Slice& encoded_cursor);
 
-  ReplicationSource* shard_source(uint32_t k) {
-    return k < sources_.size() ? sources_[k].get() : nullptr;
-  }
-
   uint64_t batches_shipped() const;
   uint64_t bytes_shipped() const;
   uint64_t lag_bytes() const;
 
  private:
+  /// Shard k's source (created on first use), or null while the shard
+  /// is quarantined.
+  ReplicationSource* Source(uint32_t k);
+  /// Sums `stat` over the sources created so far.
+  uint64_t Sum(uint64_t (ReplicationSource::*stat)() const) const;
+
   ShardedVault* vault_;
+  mutable std::mutex mu_;  ///< guards the sources_ slots
   std::vector<std::unique_ptr<ReplicationSource>> sources_;
 };
 

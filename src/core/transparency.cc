@@ -282,51 +282,72 @@ Result<ConsistencyBundle> TransparencyLog::ConsistencyBetween(
 
 ShardedTransparencyService::ShardedTransparencyService(ShardedVault* vault,
                                                        Options options)
-    : vault_(vault), options_(options) {
-  logs_.resize(vault_->num_shards());
-  for (uint32_t k = 0; k < vault_->num_shards(); ++k) {
-    Vault* shard = vault_->shard(k);
-    if (shard == nullptr) continue;  // quarantined
-    TransparencyLog::Options log_options;
-    log_options.checkpoint_interval = options_.checkpoint_interval;
-    log_options.proof_cache_entries = options_.proof_cache_entries;
-    logs_[k] = std::make_unique<TransparencyLog>(shard, log_options);
+    : vault_(vault), options_(options), logs_(vault->num_shards()) {}
+
+Result<TransparencyLog*> ShardedTransparencyService::LogLocked(uint32_t k) {
+  if (logs_[k] != nullptr) return logs_[k].get();
+  Vault* shard = vault_->shard(k);
+  if (shard == nullptr) return nullptr;  // quarantined
+  TransparencyLog::Options log_options;
+  log_options.checkpoint_interval = options_.checkpoint_interval;
+  log_options.proof_cache_entries = options_.proof_cache_entries;
+  auto log = std::make_unique<TransparencyLog>(shard, log_options);
+  for (const WitnessSeeds& seeds : witness_seeds_) {
+    MEDVAULT_RETURN_IF_ERROR(AttachWitnessLocked(k, log.get(), seeds));
   }
+  logs_[k] = std::move(log);
+  return logs_[k].get();
+}
+
+Result<TransparencyLog*> ShardedTransparencyService::Log(uint32_t k) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return LogLocked(k);
+}
+
+Status ShardedTransparencyService::AttachWitnessLocked(
+    uint32_t k, TransparencyLog* log, const WitnessSeeds& seeds) {
+  // XMSS keys are stateful one-time-leaf material: a logical witness
+  // gets an independent key per shard instead of spending one tree's
+  // leaves across all of them.
+  Witness::Options wopts;
+  wopts.id = seeds.id;
+  MEDVAULT_ASSIGN_OR_RETURN(
+      wopts.secret_seed,
+      crypto::HkdfSha256(
+          seeds.secret_seed, Slice(),
+          "witness-" + seeds.id + "-secret-" + std::to_string(k), 32));
+  MEDVAULT_ASSIGN_OR_RETURN(
+      wopts.public_seed,
+      crypto::HkdfSha256(
+          seeds.public_seed, Slice(),
+          "witness-" + seeds.id + "-public-" + std::to_string(k), 32));
+  wopts.height = options_.witness_height;
+  const Vault* shard = vault_->shard(k);  // mounted: `log` exists
+  LogIdentity log_id{shard->SignerPublicKey(), shard->SignerPublicSeed(),
+                     shard->SignerHeight()};
+  auto witness = std::make_unique<Witness>(wopts, std::move(log_id));
+  log->RegisterWitness(witness.get());
+  witnesses_.push_back(std::move(witness));
+  return Status::OK();
 }
 
 Status ShardedTransparencyService::AddWitness(const std::string& id,
                                               const Slice& secret_seed,
                                               const Slice& public_seed) {
+  std::lock_guard<std::mutex> lock(mu_);
+  WitnessSeeds seeds{id, secret_seed.ToString(), public_seed.ToString()};
   for (uint32_t k = 0; k < logs_.size(); ++k) {
-    if (logs_[k] == nullptr) continue;
-    Vault* shard = vault_->shard(k);
-    // XMSS keys are stateful one-time-leaf material: a logical witness
-    // gets an independent key per shard instead of spending one tree's
-    // leaves across all of them.
-    Witness::Options wopts;
-    wopts.id = id;
-    MEDVAULT_ASSIGN_OR_RETURN(
-        wopts.secret_seed,
-        crypto::HkdfSha256(secret_seed, Slice(),
-                           "witness-" + id + "-secret-" + std::to_string(k),
-                           32));
-    MEDVAULT_ASSIGN_OR_RETURN(
-        wopts.public_seed,
-        crypto::HkdfSha256(public_seed, Slice(),
-                           "witness-" + id + "-public-" + std::to_string(k),
-                           32));
-    wopts.height = options_.witness_height;
-    LogIdentity log_id{shard->SignerPublicKey(), shard->SignerPublicSeed(),
-                       shard->SignerHeight()};
-    auto witness = std::make_unique<Witness>(wopts, std::move(log_id));
-    logs_[k]->RegisterWitness(witness.get());
-    witnesses_.push_back(std::move(witness));
+    MEDVAULT_ASSIGN_OR_RETURN(TransparencyLog * log, LogLocked(k));
+    if (log == nullptr) continue;
+    MEDVAULT_RETURN_IF_ERROR(AttachWitnessLocked(k, log, seeds));
   }
+  witness_seeds_.push_back(std::move(seeds));
   return Status::OK();
 }
 
 Status ShardedTransparencyService::PublishAll() {
-  for (auto& log : logs_) {
+  for (uint32_t k = 0; k < logs_.size(); ++k) {
+    MEDVAULT_ASSIGN_OR_RETURN(TransparencyLog * log, Log(k));
     if (log == nullptr) continue;
     MEDVAULT_RETURN_IF_ERROR(log->PublishCheckpoint().status());
   }
@@ -334,27 +355,28 @@ Status ShardedTransparencyService::PublishAll() {
 }
 
 Status ShardedTransparencyService::MaybeCheckpointAll() {
-  for (auto& log : logs_) {
+  for (uint32_t k = 0; k < logs_.size(); ++k) {
+    MEDVAULT_ASSIGN_OR_RETURN(TransparencyLog * log, Log(k));
     if (log == nullptr) continue;
     MEDVAULT_RETURN_IF_ERROR(log->MaybeCheckpoint());
   }
   return Status::OK();
 }
 
-Result<TransparencyLog*> ShardedTransparencyService::log(
-    uint32_t shard) const {
+Result<TransparencyLog*> ShardedTransparencyService::log(uint32_t shard) {
   if (shard >= logs_.size()) {
     return Status::InvalidArgument("no such shard");
   }
-  if (logs_[shard] == nullptr) {
+  MEDVAULT_ASSIGN_OR_RETURN(TransparencyLog * l, Log(shard));
+  if (l == nullptr) {
     return Status::FailedPrecondition("shard quarantined: " +
                                       vault_->QuarantineReason(shard));
   }
-  return logs_[shard].get();
+  return l;
 }
 
 Result<CosignedCheckpoint> ShardedTransparencyService::LatestCosigned(
-    uint32_t shard) const {
+    uint32_t shard) {
   MEDVAULT_ASSIGN_OR_RETURN(TransparencyLog * l, log(shard));
   return l->LatestCosigned();
 }
@@ -372,6 +394,7 @@ Result<ConsistencyBundle> ShardedTransparencyService::ConsistencyBetween(
 }
 
 size_t ShardedTransparencyService::witness_count() const {
+  std::lock_guard<std::mutex> lock(mu_);
   return witnesses_.size();
 }
 
@@ -387,6 +410,7 @@ ShardedTransparencyService::Stats ShardedTransparencyService::CollectStats()
       reg->GetCounter("audit.proof.consistency")->Value();
   stats.cache_hits = reg->GetCounter("audit.proof.cache_hits")->Value();
   stats.cache_misses = reg->GetCounter("audit.proof.cache_misses")->Value();
+  std::lock_guard<std::mutex> lock(mu_);
   stats.witnesses = witnesses_.size();
   for (const auto& w : witnesses_) {
     if (w->tampered()) stats.tampered_witnesses++;

@@ -236,6 +236,9 @@ class TransparencyLog {
 /// logical witnesses fanned out as one per-shard Witness each — XMSS
 /// keys are stateful, so a logical witness derives an independent key
 /// per shard (HKDF on the shard index) rather than sharing leaves.
+/// A shard's log is created on first use once the shard is mounted, so
+/// a shard brought back by RejoinShard publishes again, with every
+/// logical witness added so far, without a restart.
 class ShardedTransparencyService {
  public:
   struct Options {
@@ -245,7 +248,7 @@ class ShardedTransparencyService {
   };
 
   /// `vault` is borrowed and must outlive this object. Quarantined
-  /// shards get no TransparencyLog (their slot is null).
+  /// shards get no TransparencyLog until they rejoin.
   ShardedTransparencyService(ShardedVault* vault, Options options);
 
   ShardedTransparencyService(const ShardedTransparencyService&) = delete;
@@ -263,7 +266,7 @@ class ShardedTransparencyService {
   /// Interval-gated checkpoint on every healthy shard (periodic tick).
   Status MaybeCheckpointAll();
 
-  Result<CosignedCheckpoint> LatestCosigned(uint32_t shard) const;
+  Result<CosignedCheckpoint> LatestCosigned(uint32_t shard);
   Result<EventProof> ProveEventAt(uint32_t shard, uint64_t seq,
                                   uint64_t tree_size);
   Result<ConsistencyBundle> ConsistencyBetween(uint32_t shard,
@@ -271,7 +274,7 @@ class ShardedTransparencyService {
                                                uint64_t new_size);
 
   /// The shard's log, or kFailedPrecondition while quarantined.
-  Result<TransparencyLog*> log(uint32_t shard) const;
+  Result<TransparencyLog*> log(uint32_t shard);
 
   uint32_t num_shards() const { return vault_->num_shards(); }
   size_t witness_count() const;
@@ -293,10 +296,30 @@ class ShardedTransparencyService {
   Stats CollectStats() const;
 
  private:
+  /// What AddWitness was given, kept to key the witness of a shard
+  /// whose log is created later.
+  struct WitnessSeeds {
+    std::string id;
+    std::string secret_seed;
+    std::string public_seed;
+  };
+
+  /// Shard k's log, created on first use with a witness for every
+  /// entry of witness_seeds_; null while the shard is quarantined.
+  Result<TransparencyLog*> LogLocked(uint32_t k);
+  Result<TransparencyLog*> Log(uint32_t k);
+  /// Keys shard k's Witness for `seeds` and registers it with `log`.
+  Status AttachWitnessLocked(uint32_t k, TransparencyLog* log,
+                             const WitnessSeeds& seeds);
+
   ShardedVault* const vault_;
   const Options options_;
+  /// Guards the slots of logs_, witnesses_ and witness_seeds_. A
+  /// created log is never replaced, so its pointer is used unlocked.
+  mutable std::mutex mu_;
   std::vector<std::unique_ptr<TransparencyLog>> logs_;  // per shard
   std::vector<std::unique_ptr<Witness>> witnesses_;     // owned
+  std::vector<WitnessSeeds> witness_seeds_;
 };
 
 }  // namespace medvault::core

@@ -231,20 +231,7 @@ Status Vault::Init() {
       signer_secret, signer_public_seed_, options_.signer_height);
 
   MEDVAULT_RETURN_IF_ERROR(LoadState());
-  MEDVAULT_RETURN_IF_ERROR(RecoverAfterUncleanShutdown());
-
-  // Group commit last: recovery above syncs directly (the committer's
-  // sync function takes mu_, and nothing concurrent exists yet anyway).
-  GroupCommitter::Options commit_options;
-  commit_options.window_micros = options_.commit_window_micros;
-  commit_options.metrics = metrics_;
-  committer_ = std::make_unique<GroupCommitter>(
-      [this] {
-        std::unique_lock lock(mu_);
-        return SyncAllLocked();
-      },
-      std::move(commit_options));
-  return Status::OK();
+  return RecoverAfterUncleanShutdown();
 }
 
 Status Vault::LoadState() {
@@ -454,14 +441,12 @@ Status Vault::RecoverAfterUncleanShutdown() {
 
 Status Vault::SyncAll() {
   obs::ScopedOpTimer timer(metrics_, op_metrics_.sync, "vault.sync");
-  // Group commit: concurrent callers coalesce into one sync wave per
-  // window; the wave itself runs SyncAllLocked under the vault lock.
-  return committer_->Commit();
+  std::unique_lock lock(mu_);
+  return SyncAllLocked();
 }
 
 Status Vault::WithQuiescedStore(const std::function<Status()>& fn) {
-  // Exclusive lock + direct sync wave (NOT committer_->Commit(), whose
-  // sync fn would re-take mu_). With the lock held nothing can append,
+  // Exclusive lock + sync wave: with the lock held nothing can append,
   // rewrite, or reclaim, so `fn` observes a durable frozen store.
   std::unique_lock lock(mu_);
   MEDVAULT_RETURN_IF_ERROR(SyncAllLocked());
@@ -473,7 +458,7 @@ Status Vault::SyncAllLocked() {
   // state log. A durable meta therefore implies durable version bytes,
   // catalog entry, key, postings, and audit/custody events. The side
   // logs carry no ordering among themselves, so they sync as one
-  // batched wave (concurrent under AsyncEnv); only the catalog must
+  // batched wave (one Env::SubmitSyncs); only the catalog must
   // trail its segment bytes, and the state log lands strictly last.
   std::vector<storage::WritableFile*> wave = {
       versions_->SegmentSyncTarget(),
@@ -845,8 +830,8 @@ Result<std::vector<RecordId>> Vault::CreateRecordsBatchDurable(
     const PrincipalId& actor, const std::vector<NewRecord>& batch) {
   MEDVAULT_ASSIGN_OR_RETURN(std::vector<RecordId> ids,
                             CreateRecordsBatch(actor, batch));
-  // Acknowledge only after the window covering this batch has synced.
-  MEDVAULT_RETURN_IF_ERROR(committer_->Commit());
+  // Acknowledge only after a wave covering this batch has synced.
+  MEDVAULT_RETURN_IF_ERROR(SyncAll());
   return ids;
 }
 

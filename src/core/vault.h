@@ -13,7 +13,6 @@
 #include "core/access.h"
 #include "core/audit.h"
 #include "core/consent.h"
-#include "core/group_commit.h"
 #include "core/keystore.h"
 #include "core/provenance.h"
 #include "core/record.h"
@@ -65,11 +64,6 @@ struct VaultOptions {
   /// pass per-tenant registries to keep telemetry apart. Metrics are
   /// operator telemetry only — nothing here feeds the audit log.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Group-commit window: how long a SyncAll leader lingers to gather
-  /// concurrent committers before running one sync wave for all of
-  /// them (see GroupCommitter). 0 (default) adds no latency — commits
-  /// still coalesce opportunistically behind an in-flight wave.
-  uint64_t commit_window_micros = 0;
 };
 
 /// MedVault: trustworthy regulatory-compliant health-record storage —
@@ -195,11 +189,10 @@ class Vault {
   Result<std::vector<RecordId>> CreateRecordsBatch(
       const PrincipalId& actor, const std::vector<NewRecord>& batch);
 
-  /// CreateRecordsBatch plus a group-committed durability barrier: the
-  /// ids are returned only once the sync window covering the batch has
-  /// completed, so every acknowledged record survives a power cut.
-  /// Concurrent durable batches share one window — one sync wave, not
-  /// one per batch.
+  /// CreateRecordsBatch plus a SyncAll: the ids are returned only once
+  /// a sync wave covering the batch has completed, so every
+  /// acknowledged record survives a power cut. Concurrent writers
+  /// coalesce in ShardedVault's group committer, not here.
   Result<std::vector<RecordId>> CreateRecordsBatchDurable(
       const PrincipalId& actor, const std::vector<NewRecord>& batch);
 
@@ -502,11 +495,6 @@ class Vault {
   std::unique_ptr<ProvenanceTracker> provenance_;
   std::unique_ptr<crypto::XmssSigner> signer_;
   std::unique_ptr<storage::log::Writer> state_writer_;
-  /// Coalesces concurrent SyncAll/durable-batch callers into one sync
-  /// wave per commit window (metrics under "commit.window.*"). Its
-  /// sync function takes mu_ exclusively, so Commit() must never be
-  /// called with the vault lock held.
-  std::unique_ptr<GroupCommitter> committer_;
 
   struct DisposalRequest {
     RecordId record_id;

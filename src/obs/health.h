@@ -109,10 +109,11 @@ struct HealthReport {
   json::Value ToJson() const;
   std::string Dump() const { return ToJson().Dump(); }
 
-  /// Group-commit Commit() calls in the metrics snapshot — the
-  /// denominator of env_io.fsyncs_per_op_milli. Prefers the cross-shard
-  /// committer's count when it has run: its waves drive the per-shard
-  /// committers, so taking the shard count too would double-count.
+  /// Durability commits in the metrics snapshot — the denominator of
+  /// env_io.fsyncs_per_op_milli. ShardedVault's group committer counts
+  /// them when it has run (its waves call every shard's SyncAll, so
+  /// taking the shard count too would double-count); a standalone
+  /// Vault falls back to its vault.sync op count.
   uint64_t CommitOps() const;
 };
 

@@ -93,10 +93,8 @@ class WritableFile {
   virtual Status Close() = 0;
 
   /// OS-level file descriptor when this file is backed by one, else -1.
-  /// Lets completion backends (io_uring) reach the kernel object without
-  /// unwrapping decorator stacks; decorators deliberately do not forward
-  /// it, so a wrapped file falls back to the portable path and keeps its
-  /// interposition.
+  /// Decorators deliberately do not forward it, so nothing can reach
+  /// the kernel object around their interposition.
   virtual int FileDescriptor() const { return -1; }
 };
 
@@ -175,8 +173,7 @@ class Env {
   /// `requests[i].file->Append(requests[i].data)`. Appends to the *same*
   /// file keep their slot order; appends to distinct files may run
   /// concurrently. The default executes inline, sequentially, in slot
-  /// order — correct for every Env, coalesced only by backends that
-  /// override it (AsyncEnv).
+  /// order; decorators override it only to observe the batch.
   virtual void SubmitWrites(WriteRequest* requests, size_t n,
                             BatchCompletion* done);
 

@@ -40,7 +40,9 @@ namespace medvault::storage {
 /// remove, truncate) fails until Reset(), as if the machine lost power.
 /// Run the workload once fault-free and read ops() to size a crash
 /// matrix. Pair with MemEnv::CrashAndRecover to discard unsynced bytes
-/// before "rebooting".
+/// before "rebooting". Batched submissions take the inherited inline
+/// Env default through these gated file wrappers, so each op of a batch
+/// is its own boundary and a cut lands between completions.
 class FaultInjectionEnv : public Env {
  public:
   explicit FaultInjectionEnv(Env* base) : base_(base) {}
@@ -164,20 +166,6 @@ class FaultInjectionEnv : public Env {
   Status UnsafeTruncate(const std::string& fname, uint64_t size) override {
     unsafe_writes_++;
     return base_->UnsafeTruncate(fname, size);
-  }
-
-  /// Batch API, pinned to the inline-sequential default: each coalesced
-  /// op runs through this env's own (gated) file wrappers in slot
-  /// order, so every completion in a batch stays one numbered crash
-  /// boundary and PlanCrash can kill *between* coalesced completions —
-  /// even if the env underneath has a concurrent backend.
-  void SubmitWrites(WriteRequest* requests, size_t n,
-                    BatchCompletion* done) override {
-    Env::SubmitWrites(requests, n, done);
-  }
-  void SubmitSyncs(WritableFile* const* files, size_t n,
-                   BatchCompletion* done) override {
-    Env::SubmitSyncs(files, n, done);
   }
 
  private:

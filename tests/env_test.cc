@@ -1,16 +1,30 @@
 // Env tests run the same suite against MemEnv and PosixEnv (typed via a
-// parameterized fixture), plus MemEnv/Fault-specific cases.
+// parameterized fixture), plus MemEnv/Fault-specific cases, and the
+// batch I/O contract: the completion-based SubmitWrites/SubmitSyncs API
+// on the default (inline) backend, and every decorator that must pass
+// batches through with its own semantics intact — InstrumentedEnv
+// (distinct batched counters), RetryEnv (transient faults absorbed
+// inside a wave), FaultInjectionEnv (a power cut lands *between*
+// batched completions, never inside one).
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
+#include "obs/metrics.h"
 #include "storage/env.h"
 #include "storage/fault_env.h"
+#include "storage/instrumented_env.h"
 #include "storage/mem_env.h"
 #include "storage/posix_env.h"
+#include "storage/retry_env.h"
 
 namespace medvault::storage {
 namespace {
@@ -358,6 +372,242 @@ TEST(FaultEnvTest, RandomRWWritesAlsoFail) {
   ASSERT_TRUE(f->WriteAt(0, "ok").ok());
   env.FailWrites(true);
   EXPECT_TRUE(f->WriteAt(0, "no").IsIoError());
+}
+
+
+std::string ReadAll(Env* env, const std::string& fname) {
+  std::string data;
+  Status s = ReadFileToString(env, fname, &data);
+  EXPECT_TRUE(s.ok()) << fname << ": " << s.ToString();
+  return data;
+}
+
+// ---------------------------------------------------------------------------
+// BatchCompletion
+// ---------------------------------------------------------------------------
+
+TEST(BatchCompletionTest, AggregateReturnsFirstErrorInSlotOrder) {
+  BatchCompletion done(3);
+  done.Fulfill(2, Status::Corruption("slot two"));
+  done.Fulfill(0, Status::OK());
+  done.Fulfill(1, Status::IoError("slot one"));
+  done.Wait();
+  // Slot order, not fulfillment order: slot 1's error wins.
+  EXPECT_TRUE(done.Aggregate().IsIoError()) << done.Aggregate().ToString();
+  EXPECT_TRUE(done.status(0).ok());
+  EXPECT_TRUE(done.status(1).IsIoError());
+  EXPECT_TRUE(done.status(2).IsCorruption());
+}
+
+TEST(BatchCompletionTest, WaitBlocksUntilEverySlotFulfilled) {
+  BatchCompletion done(2);
+  std::atomic<bool> finished{false};
+  std::thread waiter([&] {
+    done.Wait();
+    finished.store(true);
+  });
+  done.Fulfill(0, Status::OK());
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(finished.load());
+  done.Fulfill(1, Status::OK());
+  waiter.join();
+  EXPECT_TRUE(finished.load());
+  EXPECT_TRUE(done.Aggregate().ok());
+}
+
+// ---------------------------------------------------------------------------
+// Default (inline, sequential) backend — every Env gets this for free.
+// ---------------------------------------------------------------------------
+
+TEST(DefaultBatchTest, SubmitWritesAppendsInSlotOrder) {
+  MemEnv env;
+  std::unique_ptr<WritableFile> file;
+  ASSERT_TRUE(env.NewWritableFile("f", &file).ok());
+
+  std::vector<WriteRequest> requests(3);
+  requests[0] = {file.get(), "one-"};
+  requests[1] = {file.get(), "two-"};
+  requests[2] = {file.get(), "three"};
+  BatchCompletion done(requests.size());
+  env.SubmitWrites(requests.data(), requests.size(), &done);
+  done.Wait();
+  ASSERT_TRUE(done.Aggregate().ok());
+  ASSERT_TRUE(file->Close().ok());
+
+  EXPECT_EQ(ReadAll(&env, "f"), "one-two-three");
+}
+
+TEST(DefaultBatchTest, SyncFilesBatchSkipsNullEntriesAndSyncs) {
+  MemEnv env;
+  env.SetCrashTrackingEnabled(true);
+  std::unique_ptr<WritableFile> a, b;
+  ASSERT_TRUE(env.NewWritableFile("a", &a).ok());
+  ASSERT_TRUE(env.NewWritableFile("b", &b).ok());
+  ASSERT_TRUE(a->Append(Slice("alpha")).ok());
+  ASSERT_TRUE(b->Append(Slice("beta")).ok());
+
+  std::vector<WritableFile*> wave = {a.get(), nullptr, b.get(), nullptr};
+  ASSERT_TRUE(SyncFilesBatch(&env, wave).ok());
+
+  // Both files survive a power cut that drops unsynced bytes — the
+  // batch really was a durability barrier for each non-null entry.
+  env.CrashAndRecover(CrashMode::kDropUnsynced);
+  EXPECT_EQ(ReadAll(&env, "a"), "alpha");
+  EXPECT_EQ(ReadAll(&env, "b"), "beta");
+}
+
+TEST(DefaultBatchTest, BatchErrorsSurfaceInTheRightSlot) {
+  MemEnv env;
+  std::unique_ptr<WritableFile> good, also_good;
+  ASSERT_TRUE(env.NewWritableFile("good", &good).ok());
+  ASSERT_TRUE(env.NewWritableFile("also-good", &also_good).ok());
+  ASSERT_TRUE(good->Append(Slice("fine")).ok());
+  class FailingFile : public WritableFile {
+   public:
+    Status Append(const Slice&) override { return Status::OK(); }
+    Status Flush() override { return Status::OK(); }
+    Status Sync() override { return Status::IoError("dead platter"); }
+    Status Close() override { return Status::OK(); }
+  } failing;
+
+  // A failed barrier fails only its own slot; the slots after it still
+  // run and complete.
+  WritableFile* wave[3] = {good.get(), &failing, also_good.get()};
+  BatchCompletion done(3);
+  env.SubmitSyncs(wave, 3, &done);
+  done.Wait();
+  EXPECT_TRUE(done.status(0).ok());
+  EXPECT_TRUE(done.status(1).IsIoError());
+  EXPECT_TRUE(done.status(2).ok());
+  EXPECT_TRUE(done.Aggregate().IsIoError());
+}
+
+// ---------------------------------------------------------------------------
+// Decorator pass-through
+// ---------------------------------------------------------------------------
+
+TEST(InstrumentedBatchTest, BatchedSyncsCountedDistinctlyNotDoubly) {
+  MemEnv base;
+  IoStats stats;
+  InstrumentedEnv env(&base, &stats);
+  std::unique_ptr<WritableFile> a, b;
+  ASSERT_TRUE(env.NewWritableFile("a", &a).ok());
+  ASSERT_TRUE(env.NewWritableFile("b", &b).ok());
+  ASSERT_TRUE(a->Append(Slice("a")).ok());
+  ASSERT_TRUE(b->Append(Slice("b")).ok());
+
+  std::vector<WritableFile*> wave = {a.get(), b.get()};
+  ASSERT_TRUE(SyncFilesBatch(&env, wave).ok());
+
+  IoStatsSnapshot snap = stats.TakeSnapshot();
+  // Each barrier is one sync (the file wrappers count per-op as usual)
+  // AND one batched sync (the batch API tallies the submission) — the
+  // two series stay separable without double-counting either.
+  EXPECT_EQ(snap.syncs, 2u);
+  EXPECT_EQ(snap.batched_syncs, 2u);
+
+  std::vector<WriteRequest> requests(2);
+  requests[0] = {a.get(), "more"};
+  requests[1] = {b.get(), "more"};
+  BatchCompletion done(2);
+  env.SubmitWrites(requests.data(), 2, &done);
+  done.Wait();
+  ASSERT_TRUE(done.Aggregate().ok());
+  snap = stats.TakeSnapshot();
+  EXPECT_EQ(snap.batched_writes, 2u);
+  EXPECT_EQ(snap.writes, 4u);  // 2 setup appends + 2 batched appends
+}
+
+TEST(RetryBatchTest, TransientSyncFaultInsideWaveIsAbsorbed) {
+  MemEnv mem;
+  FaultInjectionEnv fault(&mem);
+  obs::MetricsRegistry metrics;
+  RetryOptions retry_options;
+  retry_options.sleeper = [](uint64_t) {};  // instant retries
+  RetryEnv env(&fault, retry_options, &metrics);
+
+  std::unique_ptr<WritableFile> a, b;
+  ASSERT_TRUE(env.NewWritableFile("a", &a).ok());
+  ASSERT_TRUE(env.NewWritableFile("b", &b).ok());
+  ASSERT_TRUE(a->Append(Slice("a")).ok());
+  ASSERT_TRUE(b->Append(Slice("b")).ok());
+
+  // One transient sync fault somewhere in the wave: the retrying file
+  // wrapper absorbs it, so the batch as a whole still succeeds.
+  fault.FailNextSyncs(1);
+  std::vector<WritableFile*> wave = {a.get(), b.get()};
+  ASSERT_TRUE(SyncFilesBatch(&env, wave).ok());
+  EXPECT_EQ(metrics.GetCounter("env.retry.syncs")->Value(), 1u);
+  EXPECT_EQ(metrics.GetCounter("env.retry.exhausted")->Value(), 0u);
+}
+
+TEST(FaultBatchTest, PowerCutLandsBetweenCoalescedCompletions) {
+  // The batch API on FaultInjectionEnv must keep every coalesced
+  // completion an individually numbered crash boundary: a planned
+  // crash mid-batch persists the slots before the boundary and drops
+  // the slots after it — never a torn half-batch.
+  MemEnv mem;
+  mem.SetCrashTrackingEnabled(true);
+  FaultInjectionEnv fault(&mem);
+
+  std::unique_ptr<WritableFile> a, b;
+  ASSERT_TRUE(fault.NewWritableFile("a", &a).ok());
+  ASSERT_TRUE(fault.NewWritableFile("b", &b).ok());
+  ASSERT_TRUE(a->Append(Slice("alpha")).ok());  // boundary 0
+  ASSERT_TRUE(b->Append(Slice("beta")).ok());   // boundary 1
+
+  // Batched sync of both: boundaries 2 (a) and 3 (b). Cut power at 3 —
+  // a's barrier completed, b's never did.
+  fault.PlanCrash(3);
+  std::vector<WritableFile*> wave = {a.get(), b.get()};
+  BatchCompletion done(2);
+  fault.SubmitSyncs(wave.data(), 2, &done);
+  done.Wait();
+  EXPECT_TRUE(done.status(0).ok());
+  EXPECT_TRUE(done.status(1).IsIoError());
+  EXPECT_TRUE(fault.crashed());
+
+  mem.CrashAndRecover(CrashMode::kDropUnsynced);
+  EXPECT_EQ(ReadAll(&mem, "a"), "alpha");
+  std::string b_data;
+  Status read_b = ReadFileToString(&mem, "b", &b_data);
+  EXPECT_TRUE(!read_b.ok() || b_data.empty())
+      << "unsynced slot survived the cut: \"" << b_data << "\"";
+}
+
+// ---------------------------------------------------------------------------
+// File descriptors
+// ---------------------------------------------------------------------------
+
+TEST(FileDescriptorTest, PosixExposesMemAndDecoratorsHide) {
+  char tmpl[] = "/tmp/medvault-env-fd-XXXXXX";
+  std::string dir = mkdtemp(tmpl);
+
+  std::unique_ptr<WritableFile> posix_file;
+  ASSERT_TRUE(
+      PosixEnv::Default()->NewWritableFile(dir + "/f", &posix_file).ok());
+  EXPECT_GE(posix_file->FileDescriptor(), 0);
+  ASSERT_TRUE(posix_file->Close().ok());
+  ASSERT_TRUE(PosixEnv::Default()->RemoveFile(dir + "/f").ok());
+  rmdir(dir.c_str());
+
+  MemEnv mem;
+  std::unique_ptr<WritableFile> mem_file;
+  ASSERT_TRUE(mem.NewWritableFile("m", &mem_file).ok());
+  EXPECT_EQ(mem_file->FileDescriptor(), -1);
+
+  // Decorators deliberately do not forward the descriptor: a wrapped
+  // file must take the portable path so interposition is preserved.
+  IoStats stats;
+  InstrumentedEnv instrumented(PosixEnv::Default(), &stats);
+  char tmpl2[] = "/tmp/medvault-env-fd-XXXXXX";
+  std::string dir2 = mkdtemp(tmpl2);
+  std::unique_ptr<WritableFile> wrapped;
+  ASSERT_TRUE(instrumented.NewWritableFile(dir2 + "/g", &wrapped).ok());
+  EXPECT_EQ(wrapped->FileDescriptor(), -1);
+  ASSERT_TRUE(wrapped->Close().ok());
+  ASSERT_TRUE(instrumented.RemoveFile(dir2 + "/g").ok());
+  rmdir(dir2.c_str());
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 // acknowledged before a wave covering it has synced, a failed wave
 // fails exactly its cohort, and records acknowledged by
 // CreateRecordsBatchDurable survive a power cut that drops every
-// unsynced byte. Runs under TSan in tools/smoke.sh — the leader/
+// unsynced byte — on a standalone Vault (direct sync) and on
+// ShardedVault, whose committer is the one that coalesces. Runs under TSan in tools/smoke.sh — the leader/
 // follower handoff is precisely the code a lost-wakeup or data race
 // would corrupt.
 
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "core/group_commit.h"
+#include "core/sharded_vault.h"
 #include "core/vault.h"
 #include "storage/fault_env.h"
 #include "storage/mem_env.h"
@@ -30,6 +32,8 @@ namespace {
 
 using core::GroupCommitter;
 using core::Role;
+using core::ShardedVault;
+using core::ShardedVaultOptions;
 using core::Vault;
 using core::VaultOptions;
 
@@ -45,8 +49,8 @@ TEST(GroupCommitTest, SingleCommitRunsExactlyOneWave) {
   EXPECT_EQ(stats.ops, 1u);
   EXPECT_EQ(stats.waves, 1u);
   EXPECT_EQ(stats.coalesced, 0u);
-  EXPECT_EQ(metrics.GetCounter("commit.window.ops")->Value(), 1u);
-  EXPECT_EQ(metrics.GetCounter("commit.window.syncs")->Value(), 1u);
+  EXPECT_EQ(metrics.GetCounter("commit.window.sharded.ops")->Value(), 1u);
+  EXPECT_EQ(metrics.GetCounter("commit.window.sharded.syncs")->Value(), 1u);
 }
 
 TEST(GroupCommitTest, SyncErrorPropagatesToTheCaller) {
@@ -217,7 +221,7 @@ TEST(GroupCommitTest, ConcurrentCommitsCoalesceWithoutLosingDurability) {
   EXPECT_EQ(stats.ops, static_cast<uint64_t>(kThreads * kCommitsPerThread));
   EXPECT_EQ(stats.waves + stats.coalesced, stats.ops);
   EXPECT_LT(stats.waves, stats.ops) << "no coalescing ever happened";
-  EXPECT_EQ(metrics.GetCounter("commit.window.syncs")->Value(), stats.waves);
+  EXPECT_EQ(metrics.GetCounter("commit.window.sharded.syncs")->Value(), stats.waves);
 }
 
 // No lost wakeups: with a nonzero window and many more committers than
@@ -244,11 +248,11 @@ TEST(GroupCommitTest, NoLostWakeupsUnderWindowedLoad) {
 
 // ---------------------------------------------------------------------------
 // Vault-level durability: what CreateRecordsBatchDurable acknowledges
-// must survive a power cut, with and without a commit window.
+// must survive a power cut — on a Vault, and on a ShardedVault with and
+// without a commit window.
 // ---------------------------------------------------------------------------
 
-VaultOptions TestOptions(storage::Env* env, const Clock* clock,
-                         uint64_t window_micros) {
+VaultOptions TestOptions(storage::Env* env, const Clock* clock) {
   VaultOptions options;
   options.env = env;
   options.dir = "vault";
@@ -256,30 +260,49 @@ VaultOptions TestOptions(storage::Env* env, const Clock* clock,
   options.master_key = std::string(32, 'M');
   options.entropy = "group-commit-entropy";
   options.signer_height = 4;
+  return options;
+}
+
+ShardedVaultOptions ShardedTestOptions(storage::Env* env, const Clock* clock,
+                                       uint64_t window_micros) {
+  ShardedVaultOptions options;
+  options.env = env;
+  options.dir = "sharded";
+  options.clock = clock;
+  options.master_key = std::string(32, 'M');
+  options.entropy = "group-commit-entropy";
+  options.num_shards = 2;
+  options.signer_height = 4;
   options.commit_window_micros = window_micros;
   return options;
 }
 
-void RunDurableBatchCrashCheck(uint64_t window_micros) {
-  storage::MemEnv env;
-  env.SetCrashTrackingEnabled(true);
-  ManualClock clock(1000000);
+// Registers an admin, a physician "dr" and a patient "p" in their care.
+template <typename V>
+void SetUpCare(V* vault) {
+  ASSERT_TRUE(
+      vault->RegisterPrincipal("boot", {"admin", Role::kAdmin, "A"}).ok());
+  ASSERT_TRUE(
+      vault->RegisterPrincipal("admin", {"dr", Role::kPhysician, "D"}).ok());
+  ASSERT_TRUE(
+      vault->RegisterPrincipal("admin", {"p", Role::kPatient, "P"}).ok());
+  ASSERT_TRUE(vault->AssignCare("admin", "dr", "p").ok());
+  ASSERT_TRUE(vault->SyncAll().ok());
+}
+
+// `open` opens (or reopens) the vault under test on `env`.
+template <typename Open>
+void RunDurableBatchCrashCheck(storage::MemEnv* env, const Open& open) {
+  env->SetCrashTrackingEnabled(true);
   std::vector<std::string> acked;
   {
-    auto opened = Vault::Open(TestOptions(&env, &clock, window_micros));
+    auto opened = open();
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-    Vault* vault = opened->get();
-    ASSERT_TRUE(
-        vault->RegisterPrincipal("boot", {"admin", Role::kAdmin, "A"}).ok());
-    ASSERT_TRUE(
-        vault->RegisterPrincipal("admin", {"dr", Role::kPhysician, "D"}).ok());
-    ASSERT_TRUE(
-        vault->RegisterPrincipal("admin", {"p", Role::kPatient, "P"}).ok());
-    ASSERT_TRUE(vault->AssignCare("admin", "dr", "p").ok());
-    ASSERT_TRUE(vault->SyncAll().ok());
+    auto* vault = opened->get();
+    SetUpCare(vault);
 
     // Two concurrent durable batches: both acked sets must survive the
-    // cut no matter how their windows coalesced.
+    // cut no matter how their waves coalesced.
     std::mutex mu;
     std::vector<std::thread> writers;
     for (int t = 0; t < 2; t++) {
@@ -300,11 +323,11 @@ void RunDurableBatchCrashCheck(uint64_t window_micros) {
     // Power cut: the vault object is destroyed with the plug pulled —
     // nothing after the last acked wave may be assumed.
   }
-  env.CrashAndRecover(storage::CrashMode::kDropUnsynced);
+  env->CrashAndRecover(storage::CrashMode::kDropUnsynced);
 
-  auto reopened = Vault::Open(TestOptions(&env, &clock, window_micros));
+  auto reopened = open();
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  Vault* vault = reopened->get();
+  auto* vault = reopened->get();
   EXPECT_TRUE(vault->VerifyAudit().ok());
   for (const auto& id : acked) {
     auto read = vault->ReadRecord("dr", id);
@@ -315,32 +338,36 @@ void RunDurableBatchCrashCheck(uint64_t window_micros) {
 }
 
 TEST(GroupCommitVaultTest, AckedDurableBatchSurvivesPowerCutNoWindow) {
-  RunDurableBatchCrashCheck(/*window_micros=*/0);
+  storage::MemEnv env;
+  ManualClock clock(1000000);
+  RunDurableBatchCrashCheck(
+      &env, [&] { return Vault::Open(TestOptions(&env, &clock)); });
 }
 
 TEST(GroupCommitVaultTest, AckedDurableBatchSurvivesPowerCutWithWindow) {
-  RunDurableBatchCrashCheck(/*window_micros=*/300);
+  storage::MemEnv env;
+  ManualClock clock(1000000);
+  RunDurableBatchCrashCheck(&env, [&] {
+    return ShardedVault::Open(
+        ShardedTestOptions(&env, &clock, /*window_micros=*/300));
+  });
 }
 
 TEST(GroupCommitVaultTest, WindowedIngestCoalescesSyncWaves) {
   storage::MemEnv env;
   ManualClock clock(1000000);
   obs::MetricsRegistry metrics;
-  VaultOptions options = TestOptions(&env, &clock, /*window_micros=*/400);
+  ShardedVaultOptions options =
+      ShardedTestOptions(&env, &clock, /*window_micros=*/400);
   options.metrics = &metrics;
-  auto opened = Vault::Open(options);
+  auto opened = ShardedVault::Open(options);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  Vault* vault = opened->get();
-  ASSERT_TRUE(
-      vault->RegisterPrincipal("boot", {"admin", Role::kAdmin, "A"}).ok());
-  ASSERT_TRUE(
-      vault->RegisterPrincipal("admin", {"dr", Role::kPhysician, "D"}).ok());
-  ASSERT_TRUE(
-      vault->RegisterPrincipal("admin", {"p", Role::kPatient, "P"}).ok());
-  ASSERT_TRUE(vault->AssignCare("admin", "dr", "p").ok());
-  ASSERT_TRUE(vault->SyncAll().ok());
+  ShardedVault* vault = opened->get();
+  SetUpCare(vault);
+  const uint64_t setup_ops =
+      metrics.GetCounter("commit.window.sharded.ops")->Value();
   const uint64_t setup_syncs =
-      metrics.GetCounter("commit.window.syncs")->Value();
+      metrics.GetCounter("commit.window.sharded.syncs")->Value();
 
   constexpr int kWriters = 6;
   std::vector<std::thread> writers;
@@ -354,10 +381,12 @@ TEST(GroupCommitVaultTest, WindowedIngestCoalescesSyncWaves) {
   }
   for (auto& w : writers) w.join();
 
-  const uint64_t ops = metrics.GetCounter("commit.window.ops")->Value();
+  const uint64_t ops =
+      metrics.GetCounter("commit.window.sharded.ops")->Value() - setup_ops;
   const uint64_t syncs =
-      metrics.GetCounter("commit.window.syncs")->Value() - setup_syncs;
-  EXPECT_GE(ops, static_cast<uint64_t>(kWriters));
+      metrics.GetCounter("commit.window.sharded.syncs")->Value() -
+      setup_syncs;
+  EXPECT_EQ(ops, static_cast<uint64_t>(kWriters));
   // With a 400us window and 6 concurrent writers, at least some must
   // have shared a wave. (Exact counts are scheduling-dependent.)
   EXPECT_LT(syncs, static_cast<uint64_t>(kWriters))

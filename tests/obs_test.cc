@@ -454,8 +454,17 @@ TEST(HealthReportTest, CollectHealthFromLiveVault) {
 
   // More work, new snapshot: strictly more reads recorded.
   ASSERT_TRUE((*vault)->ReadRecord("dr", *id).ok());
+  const uint64_t commits = report.CommitOps();
+  ASSERT_TRUE((*vault)->SyncAll().ok());
   HealthReport later = CollectHealth(**vault, &io);
   EXPECT_EQ(later.metrics.histograms.at("vault.read").count, 3u);
+  // A standalone vault has no group committer: its SyncAll count is
+  // the denominator of fsyncs_per_op_milli.
+  ASSERT_EQ(later.CommitOps(), commits + 1);
+  EXPECT_NE(later.Dump().find("\"fsyncs_per_op_milli\":" +
+                              std::to_string(later.env_io.syncs * 1000 /
+                                             later.CommitOps())),
+            std::string::npos);
 }
 
 TEST(HealthReportTest, WriteHealthFileAppendsNewline) {

@@ -14,9 +14,11 @@
 #include "common/coding.h"
 #include "common/crc32c.h"
 #include "core/backup.h"
+#include "core/replication.h"
 #include "core/scrub.h"
 #include "core/shard_router.h"
 #include "core/sharded_vault.h"
+#include "core/transparency.h"
 #include "core/vault.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
@@ -576,6 +578,61 @@ TEST_F(DegradedShardTest, QuarantineMatrix) {
   EXPECT_TRUE(vault_->IsQuarantined(sick));
   // Rejoining a healthy shard is a no-op.
   EXPECT_TRUE(vault_->RejoinShard(healthy).ok());
+}
+
+// Replication and transparency are built while a shard is quarantined
+// (as medvaultd does at startup after a degraded open). Once the shard
+// is repaired and rejoins, both must serve it without a restart: its
+// stream cuts a batch and its log publishes a witnessed checkpoint.
+TEST_F(DegradedShardTest, RejoinedShardReplicatesAndPublishes) {
+  BuildPopulatedVault();
+  const uint32_t sick = vault_->router().ShardOf(Patient(0));
+  const std::string sick_dir = vault_->ShardDirPath(sick);
+  vault_.reset();
+
+  XorByte(&env_, sick_dir + "/state.log", /*offset=*/10);
+  auto opened = ShardedVault::Open(Options(OpenMode::kDegraded));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  vault_ = std::move(*opened);
+  ASSERT_TRUE(vault_->IsQuarantined(sick));
+
+  core::ShardedReplicationSource source(vault_.get());
+  core::ShardedTransparencyService transparency(
+      vault_.get(), core::ShardedTransparencyService::Options());
+  ASSERT_TRUE(transparency
+                  .AddWitness("w1", std::string(32, 's'),
+                              std::string(32, 'p'))
+                  .ok());
+  EXPECT_EQ(transparency.witness_count(), kShards - 1);
+  const std::vector<core::ReplicationCursor> cursors(kShards);
+  auto dark = source.CutAll(cursors);
+  ASSERT_TRUE(dark.ok()) << dark.status().ToString();
+  EXPECT_EQ((*dark)[sick].seq, 0u);
+  EXPECT_TRUE(transparency.log(sick).status().IsFailedPrecondition());
+  EXPECT_TRUE(source.HandleCutRequest(sick, cursors[sick].Encode())
+                  .status()
+                  .IsFailedPrecondition());
+
+  // Repair: the flipped byte is flipped back, and the shard rejoins.
+  XorByte(&env_, sick_dir + "/state.log", /*offset=*/10);
+  ASSERT_TRUE(vault_->RejoinShard(sick).ok()) << vault_->QuarantineReason(sick);
+
+  auto cut = source.CutAll(cursors);
+  ASSERT_TRUE(cut.ok()) << cut.status().ToString();
+  EXPECT_GT((*cut)[sick].seq, 0u);
+  EXPECT_FALSE((*cut)[sick].chunks.empty());
+  // Past the quarantine gate: an unsigned cursor is now refused on its
+  // own merits, not because the stream is paused.
+  EXPECT_TRUE(source.HandleCutRequest(sick, cursors[sick].Encode())
+                  .status()
+                  .IsPermissionDenied());
+
+  ASSERT_TRUE(transparency.PublishAll().ok());
+  auto latest = transparency.LatestCosigned(sick);
+  ASSERT_TRUE(latest.ok()) << latest.status().ToString();
+  EXPECT_GT(latest->checkpoint.tree_size, 0u);
+  EXPECT_EQ(latest->cosignatures.size(), 1u);
+  EXPECT_EQ(transparency.witness_count(), kShards);
 }
 
 // The acceptance scenario end to end: one shard suffers media damage

@@ -2,7 +2,7 @@
 # Smoke suite: the tier-1 test battery in the default configuration,
 # then the crash/fault matrix, the cross-shard stress battery, the
 # observability battery, the media-fault scrub/repair battery, the
-# async-env/group-commit batteries, the HTTP server battery, the
+# env/group-commit batteries, the HTTP server battery, the
 # verified-replication battery, the audit-transparency battery, the
 # patient-driven-sharing consent battery, and the integrity-kernel battery
 # (`ctest -L
@@ -16,10 +16,8 @@
 # apply-pool interplay, and the proof-serving-vs-concurrent-append
 # interleaving only surface instrumented (the kernels battery covers the
 # CRC32C/AEAD raw-buffer paths, hardware and MEDVAULT_FORCE_SCALAR=1).
-# A final configuration forces -DMEDVAULT_IO_URING=OFF and re-runs the
-# env + commit batteries so the thread-pool sync fallback stays proven
-# even on hosts where liburing is found. The bench_compare fixture
-# self-test runs once up front (pure python, no build needed).
+# The bench_compare fixture self-test runs once up front (pure python,
+# no build needed).
 # Usage: tools/smoke.sh [build-dir-prefix]
 set -euo pipefail
 
@@ -48,6 +46,5 @@ run_config "$prefix" "" ""
 run_config "${prefix}-asan" address "crash|stress|obs|scrub|env|commit|serve|repl|transparency|consent|kernels"
 run_config "${prefix}-ubsan" undefined "crash|stress|obs|scrub|env|commit|serve|repl|transparency|consent|kernels"
 run_config "${prefix}-tsan" thread "stress|obs|commit|serve|repl|transparency|consent|kernels"
-run_config "${prefix}-nouring" "" "env|commit" "-DMEDVAULT_IO_URING=OFF"
 
 echo "smoke suite passed"
