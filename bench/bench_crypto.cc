@@ -203,7 +203,26 @@ void BM_XmssKeygen(benchmark::State& state) {
   }
   state.counters["signatures"] = static_cast<double>(1 << height);
 }
-BENCHMARK(BM_XmssKeygen)->Arg(2)->Arg(4)->Arg(6)->Unit(benchmark::kMillisecond);
+// Height 8 is the vault default: what a fresh vault (or one without a
+// stored leaf table) pays per shard.
+BENCHMARK(BM_XmssKeygen)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(6)
+    ->Arg(8)
+    ->Unit(benchmark::kMillisecond);
+
+// What a reopen pays instead: the signer rebuilt from its stored leaf
+// public keys (2^h - 1 inner-node hashes, plus copying the leaves in).
+void BM_XmssFromLeaves(benchmark::State& state) {
+  const int height = static_cast<int>(state.range(0));
+  const XmssSigner seeded("secret", "public", height);
+  for (auto _ : state) {
+    XmssSigner signer("secret", "public", height, seeded.leaves());
+    benchmark::DoNotOptimize(signer.public_key());
+  }
+}
+BENCHMARK(BM_XmssFromLeaves)->Arg(8)->Unit(benchmark::kMicrosecond);
 
 void BM_XmssSign(benchmark::State& state) {
   XmssSigner signer("secret", "public", 10);  // 1024 signatures

@@ -66,7 +66,10 @@ struct Instance {
   }
 };
 
-std::unique_ptr<Instance> MakeServer(int records) {
+/// `workers` must cover every keep-alive connection the run holds open
+/// at once: each open connection parks a worker, so one more connection
+/// than workers waits in the admission queue until it is shed.
+std::unique_ptr<Instance> MakeServer(int records, int workers) {
   auto in = std::make_unique<Instance>();
   in->ienv = std::make_unique<storage::InstrumentedEnv>(
       &in->env, obs::ProcessIoStats());
@@ -117,7 +120,7 @@ std::unique_ptr<Instance> MakeServer(int records) {
 
   ServerOptions sopt;
   sopt.port = 0;
-  sopt.worker_threads = 4;
+  sopt.worker_threads = workers;
   sopt.admission.max_queue = 64;
   sopt.api_secret = kSecret;
   sopt.session_entropy = "bench-sharing-session-entropy";
@@ -315,7 +318,7 @@ int main() {
   ReadPoint care, consent;
   ChurnResult churn;
   {
-    auto in = MakeServer(/*records=*/32);
+    auto in = MakeServer(/*records=*/32, /*workers=*/4);
     // Every patient delegates patient-wide to the specialist, once.
     for (int p = 0; p < kPatients; p++) {
       auto g = in->vault->GrantConsent("pat-" + std::to_string(p), "spec",
@@ -344,8 +347,10 @@ int main() {
     // A fresh instance: no standing grants, so after each revocation
     // the specialist has NO remaining basis and the refused read is a
     // real revocation probe.
-    auto in = MakeServer(/*records=*/32);
-    churn = RunChurn(in.get(), /*tenants=*/4, /*iterations=*/24);
+    // Two keep-alive connections per tenant (patient and specialist).
+    constexpr int kTenants = 4;
+    auto in = MakeServer(/*records=*/32, /*workers=*/2 * kTenants);
+    churn = RunChurn(in.get(), kTenants, /*iterations=*/24);
     printf("%10s %14s %14s %12s\n", "grants/s", "revoke-p50-us",
            "revoke-p99-us", "violations");
     printf("%10.0f %14.1f %14.1f %12zu\n", churn.grants_per_sec,

@@ -26,6 +26,80 @@ constexpr uint8_t kStateCareRevoke = 5;
 constexpr uint8_t kStateGrant = 6;
 constexpr uint8_t kStateConsent = 7;
 constexpr uint8_t kStateConsentRevoke = 8;
+constexpr uint8_t kStateSignerLeaves = 9;
+
+/// The signer's leaf table (kStateSignerLeaves): varint height, the
+/// 2^height WOTS leaf public keys back to back, and an HMAC-SHA256 tag
+/// over the label, public seed, height and leaves. The tag's key
+/// derives from the vault entropy, like the signer secret itself, so a
+/// table is accepted only from whoever holds that secret: anyone else
+/// able to write state.log could otherwise substitute leaves of their
+/// own and have every later checkpoint signed under a forged root.
+constexpr char kSignerLeavesLabel[] = "medvault-signer-leaves-v1";
+
+struct SignerLeaves {
+  uint32_t height = 0;
+  std::vector<std::string> leaves;
+};
+
+void SignerLeavesTag(const crypto::HmacSha256Key& key,
+                     const Slice& public_seed, uint32_t height,
+                     const Slice& leaves, uint8_t tag[crypto::kDigestSize]) {
+  std::string header = kSignerLeavesLabel;
+  PutLengthPrefixed(&header, public_seed);
+  PutFixed32(&header, height);
+  crypto::Sha256 h = key.Begin();
+  h.Update(header);
+  h.Update(leaves);
+  key.Finish(&h, tag);
+}
+
+std::string EncodeSignerLeaves(const crypto::HmacSha256Key& key,
+                               const Slice& public_seed, uint32_t height,
+                               const std::vector<std::string>& leaves) {
+  std::string out;
+  PutVarint32(&out, height);
+  const size_t begin = out.size();
+  for (const std::string& leaf : leaves) out.append(leaf);
+  const size_t end = out.size();
+  out.resize(end + crypto::kDigestSize);
+  SignerLeavesTag(key, public_seed, height,
+                  Slice(out.data() + begin, end - begin),
+                  reinterpret_cast<uint8_t*>(out.data() + end));
+  return out;
+}
+
+/// Parses a leaf table and checks its tag (constant time): Corruption
+/// when malformed, TamperDetected when the tag does not verify.
+Result<SignerLeaves> DecodeSignerLeaves(const crypto::HmacSha256Key& key,
+                                        const Slice& public_seed,
+                                        const Slice& data) {
+  Slice in = data;
+  SignerLeaves table;
+  if (!GetVarint32(&in, &table.height) || table.height < 2 ||
+      table.height > 16) {
+    return Status::Corruption("malformed signer leaf table");
+  }
+  const size_t leaves_size =
+      (size_t{1} << table.height) * crypto::kDigestSize;
+  if (in.size() != leaves_size + crypto::kDigestSize) {
+    return Status::Corruption("signer leaf table has wrong size");
+  }
+  const Slice leaves(in.data(), leaves_size);
+  uint8_t want[crypto::kDigestSize];
+  SignerLeavesTag(key, public_seed, table.height, leaves, want);
+  if (!crypto::ConstantTimeEqual(
+          Slice(reinterpret_cast<const char*>(want), sizeof(want)),
+          Slice(in.data() + leaves_size, crypto::kDigestSize))) {
+    return Status::TamperDetected(
+        "signer leaf table failed authentication");
+  }
+  table.leaves.reserve(size_t{1} << table.height);
+  for (size_t off = 0; off < leaves_size; off += crypto::kDigestSize) {
+    table.leaves.emplace_back(leaves.data() + off, crypto::kDigestSize);
+  }
+  return table;
+}
 
 std::string EncodeConsentRevoke(const std::string& grant_id) {
   std::string out;
@@ -201,6 +275,10 @@ Status Vault::Init() {
   MEDVAULT_ASSIGN_OR_RETURN(
       signer_public_seed_,
       crypto::HkdfSha256(options_.entropy, Slice(), "signer-public", 32));
+  MEDVAULT_ASSIGN_OR_RETURN(
+      std::string leaves_mac,
+      crypto::HkdfSha256(options_.entropy, Slice(), "signer-leaves-mac", 32));
+  const crypto::HmacSha256Key leaves_key(leaves_mac);
   // Consent signatures derive from the long-term entropy seed too:
   // grants must keep verifying across master-key rotation.
   MEDVAULT_ASSIGN_OR_RETURN(
@@ -227,21 +305,46 @@ Status Vault::Init() {
       env, dir + "/provenance.log", options_.system_id);
   MEDVAULT_RETURN_IF_ERROR(provenance_->Open());
 
-  signer_ = std::make_unique<crypto::XmssSigner>(
-      signer_secret, signer_public_seed_, options_.signer_height);
-
-  MEDVAULT_RETURN_IF_ERROR(LoadState());
+  SignerState signer_state;
+  MEDVAULT_RETURN_IF_ERROR(LoadState(leaves_key, &signer_state));
+  MEDVAULT_RETURN_IF_ERROR(
+      OpenSigner(signer_secret, leaves_key, std::move(signer_state)));
   return RecoverAfterUncleanShutdown();
 }
 
-Status Vault::LoadState() {
+Status Vault::OpenSigner(const std::string& signer_secret,
+                         const crypto::HmacSha256Key& leaves_key,
+                         SignerState state) {
+  if (!state.leaves.empty()) {
+    signer_ = std::make_unique<crypto::XmssSigner>(
+        signer_secret, signer_public_seed_, options_.signer_height,
+        std::move(state.leaves));
+    metrics_->GetCounter("vault.signer.loads")->Increment();
+  } else {
+    signer_ = std::make_unique<crypto::XmssSigner>(
+        signer_secret, signer_public_seed_, options_.signer_height);
+    metrics_->GetCounter("vault.signer.rebuilds")->Increment();
+    // A full sync wave, not just the state log: the replayed state may
+    // itself still be volatile, and the state log stays the last to
+    // land. A crash before the sync only repeats the rebuild next open.
+    MEDVAULT_RETURN_IF_ERROR(AppendStateEntryLocked(
+        kStateSignerLeaves,
+        EncodeSignerLeaves(leaves_key, signer_public_seed_,
+                           static_cast<uint32_t>(options_.signer_height),
+                           signer_->leaves())));
+    MEDVAULT_RETURN_IF_ERROR(SyncAllLocked());
+  }
+  return signer_->RestoreState(state.used);
+}
+
+Status Vault::LoadState(const crypto::HmacSha256Key& leaves_key,
+                        SignerState* signer) {
   storage::Env* env = options_.env;
   const std::string state_path = options_.dir + "/state.log";
-  uint64_t signer_used = 0;
   storage::log::LogOpenResult res;
   MEDVAULT_RETURN_IF_ERROR(storage::log::OpenLogForAppend(
       env, state_path,
-      [this, &signer_used](const Slice& rec) -> Status {
+      [this, &leaves_key, signer](const Slice& rec) -> Status {
         if (rec.empty()) return Status::Corruption("empty state entry");
         uint8_t kind = static_cast<uint8_t>(rec[0]);
         Slice payload(rec.data() + 1, rec.size() - 1);
@@ -266,8 +369,20 @@ Status Vault::LoadState() {
           }
           case kStateSigner: {
             Slice in = payload;
-            if (!GetVarint64(&in, &signer_used)) {
+            if (!GetVarint64(&in, &signer->used)) {
               return Status::Corruption("malformed signer state");
+            }
+            break;
+          }
+          case kStateSignerLeaves: {
+            // Authenticated even when its height is stale: a forged
+            // table is tamper evidence whatever it claims.
+            MEDVAULT_ASSIGN_OR_RETURN(
+                SignerLeaves table,
+                DecodeSignerLeaves(leaves_key, signer_public_seed_, payload));
+            if (table.height ==
+                static_cast<uint32_t>(options_.signer_height)) {
+              signer->leaves = std::move(table.leaves);
             }
             break;
           }
@@ -325,7 +440,7 @@ Status Vault::LoadState() {
       },
       &res));
   state_writer_ = std::move(res.writer);
-  return signer_->RestoreState(signer_used);
+  return Status::OK();
 }
 
 Status Vault::RecoverAfterUncleanShutdown() {

@@ -415,8 +415,26 @@ class Vault {
  private:
   explicit Vault(VaultOptions options);
 
+  /// What the state log holds for the XMSS signer: LoadState fills it
+  /// during replay, OpenSigner builds signer_ from it afterwards.
+  struct SignerState {
+    uint64_t used = 0;  ///< leaves spent (kStateSigner high-water mark)
+    /// The authenticated leaf table for options_.signer_height; empty
+    /// when the log holds none (a vault written before leaf tables, a
+    /// torn append, or a table for another height).
+    std::vector<std::string> leaves;
+  };
+
   Status Init();
-  Status LoadState();
+  Status LoadState(const crypto::HmacSha256Key& leaves_key,
+                   SignerState* signer);
+  /// Builds signer_ from the stored leaf table, or, without one, from
+  /// its seed — then appends the table (kStateSignerLeaves) and makes it
+  /// durable, so key generation runs once per vault, not once per open.
+  /// Restores the spent-leaf position either way.
+  Status OpenSigner(const std::string& signer_secret,
+                    const crypto::HmacSha256Key& leaves_key,
+                    SignerState state);
   /// Cross-log reconciliation after a possible crash (runs on every
   /// open; idempotent). The state log is the commit point: catalog refs
   /// beyond a record's committed latest version (or pointing at frames

@@ -7,6 +7,7 @@
 
 #include "common/result.h"
 #include "common/slice.h"
+#include "crypto/hmac.h"
 
 namespace medvault::crypto {
 
@@ -40,6 +41,12 @@ class Wots {
   Wots(const Slice& secret_seed, const Slice& public_seed,
        uint32_t leaf_index);
 
+  /// Same, with the secret seed already prepared as an HMAC key: a
+  /// caller deriving many leaves from one seed (XmssSigner) pays the
+  /// key's pad hashing once, not once per leaf.
+  Wots(const HmacSha256Key& secret_key, const Slice& public_seed,
+       uint32_t leaf_index);
+
   /// Compressed public key: SHA-256 over the kLen chain tops.
   std::string PublicKey() const;
 
@@ -64,18 +71,33 @@ class Wots {
   static Result<Signature> DecodeSignature(const Slice& data);
 
  private:
-  /// Applies `steps` chain iterations starting from `value` at position
-  /// `start` in chain `chain_index`.
-  static std::string Chain(const Slice& public_seed, uint32_t leaf_index,
-                           int chain_index, int start, int steps,
-                           std::string value);
+  /// The chain-step hash input
+  ///   SHA-256("wots-chain" || public_seed || leaf || chain || step || value)
+  /// laid out once, SHA-256 padding included, so a step rewrites only
+  /// the chain and step indices and the 32-byte value in place and runs
+  /// the compression kernel directly: no allocation and no Sha256
+  /// buffering per step. Two 64-byte blocks for a 32-byte public seed.
+  class ChainHasher {
+   public:
+    ChainHasher(const Slice& public_seed, uint32_t leaf_index);
+
+    /// Applies `steps` chain iterations to `value` (kN bytes, updated
+    /// in place) starting at position `start` of chain `chain_index`.
+    void Run(int chain_index, int start, int steps, uint8_t* value);
+
+   private:
+    std::string blocks_;      ///< padded message, whole 64-byte blocks
+    size_t chain_offset_;     ///< chain index, then step, then value
+  };
 
   /// Message digest -> kLen base-w digits (message + checksum).
   static Result<std::vector<int>> Digits(const Slice& digest);
 
-  std::string public_seed_;
-  uint32_t leaf_index_;
-  std::vector<std::string> secret_chains_;
+  /// A working buffer, not state: every Run rewrites all its variable bytes,
+  /// so the const signing methods may use it (one Wots per thread).
+  mutable ChainHasher hasher_;
+  /// kLen secret chain starts of kN bytes each, back to back.
+  uint8_t secret_chains_[kLen][kN];
 };
 
 }  // namespace medvault::crypto

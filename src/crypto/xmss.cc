@@ -46,17 +46,30 @@ Result<XmssSignature> XmssSignature::Decode(const Slice& data) {
 
 XmssSigner::XmssSigner(const Slice& secret_seed, const Slice& public_seed,
                        int height)
-    : secret_seed_(secret_seed.ToString()),
+    : secret_key_(secret_seed),
       public_seed_(public_seed.ToString()),
       height_(height) {
   const uint64_t num_leaves = 1ULL << height_;
-  leaf_hashes_.reserve(num_leaves);
+  std::vector<std::string> leaves;
+  leaves.reserve(num_leaves);
   for (uint64_t i = 0; i < num_leaves; i++) {
-    Wots wots(secret_seed_, public_seed_, static_cast<uint32_t>(i));
-    leaf_hashes_.push_back(wots.PublicKey());
+    Wots wots(secret_key_, public_seed_, static_cast<uint32_t>(i));
+    leaves.push_back(wots.PublicKey());
   }
-  // Build the full binary tree bottom-up.
-  nodes_.push_back(leaf_hashes_);
+  nodes_.push_back(std::move(leaves));
+  BuildTree();
+}
+
+XmssSigner::XmssSigner(const Slice& secret_seed, const Slice& public_seed,
+                       int height, std::vector<std::string> leaves)
+    : secret_key_(secret_seed),
+      public_seed_(public_seed.ToString()),
+      height_(height) {
+  nodes_.push_back(std::move(leaves));
+  BuildTree();
+}
+
+void XmssSigner::BuildTree() {
   while (nodes_.back().size() > 1) {
     const auto& below = nodes_.back();
     std::vector<std::string> level;
@@ -76,7 +89,7 @@ Result<XmssSignature> XmssSigner::Sign(const Slice& message) {
   const auto leaf = static_cast<uint32_t>(next_leaf_++);
   std::string digest = Sha256Digest(message);
 
-  Wots wots(secret_seed_, public_seed_, leaf);
+  Wots wots(secret_key_, public_seed_, leaf);
   MEDVAULT_ASSIGN_OR_RETURN(Wots::Signature wsig, wots.Sign(digest));
 
   XmssSignature sig;

@@ -7,6 +7,7 @@
 
 #include "common/result.h"
 #include "common/slice.h"
+#include "crypto/hmac.h"
 #include "crypto/wots.h"
 
 namespace medvault::crypto {
@@ -38,6 +39,17 @@ class XmssSigner {
   /// cost grows as 2^height; heights 4-10 are practical here.
   XmssSigner(const Slice& secret_seed, const Slice& public_seed, int height);
 
+  /// Rebuilds the same signer from its 2^height WOTS leaf public keys
+  /// (leaves() of a signer built from these seeds), skipping key
+  /// generation: only the 2^height - 1 inner nodes are hashed. The
+  /// caller vouches that the leaves belong to `secret_seed` — a foreign
+  /// leaf set would yield a signer whose signatures never verify under
+  /// the genuine root. Requires leaves.size() == 2^height, each kN bytes.
+  XmssSigner(const Slice& secret_seed, const Slice& public_seed, int height,
+             std::vector<std::string> leaves);
+
+  ~XmssSigner() { secret_key_.Clear(); }
+
   XmssSigner(const XmssSigner&) = delete;
   XmssSigner& operator=(const XmssSigner&) = delete;
   XmssSigner(XmssSigner&&) = default;
@@ -47,6 +59,8 @@ class XmssSigner {
   const std::string& public_key() const { return root_; }
   const std::string& public_seed() const { return public_seed_; }
   int height() const { return height_; }
+  /// The WOTS public key of every leaf, in leaf order.
+  const std::vector<std::string>& leaves() const { return nodes_[0]; }
 
   uint64_t SignaturesUsed() const { return next_leaf_; }
   uint64_t SignaturesRemaining() const {
@@ -67,12 +81,14 @@ class XmssSigner {
                        int height);
 
  private:
-  std::string secret_seed_;
+  /// Hashes the tree above nodes_[0] and sets root_.
+  void BuildTree();
+
+  HmacSha256Key secret_key_;  ///< WOTS chain-secret PRF, prepared once
   std::string public_seed_;
   int height_;
   uint64_t next_leaf_ = 0;
-  std::vector<std::string> leaf_hashes_;  ///< WOTS pk per leaf
-  /// nodes_[level][i]: hash of subtree; level 0 = leaves.
+  /// nodes_[level][i]: hash of subtree; level 0 = WOTS pk per leaf.
   std::vector<std::vector<std::string>> nodes_;
   std::string root_;
 };

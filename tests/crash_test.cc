@@ -15,6 +15,11 @@
 //   - blinded search still finds every acknowledged record,
 //   - the vault accepts fresh ingest after recovery.
 //
+// The workload's first open generates the signer tree and appends its
+// MAC-sealed leaf table to the state log, so the matrix also kills that
+// append at every boundary: the reopened vault must end up with exactly
+// one table and the same signer public key.
+//
 // The boundary count is discovered by one fault-free dry run; the
 // matrix then replays the deterministic workload once per boundary per
 // crash mode. See FaultInjectionEnv::PlanCrash and
@@ -36,6 +41,8 @@
 #include "core/vault.h"
 #include "crypto/xmss.h"
 #include "storage/fault_env.h"
+#include "storage/log_reader.h"
+#include "storage/log_writer.h"
 #include "storage/mem_env.h"
 
 namespace medvault {
@@ -93,6 +100,59 @@ VaultOptions Options(storage::Env* env, const Clock* clock) {
   options.entropy = "crash-entropy";
   options.signer_height = 4;
   return options;
+}
+
+constexpr uint8_t kSignerLeavesKind = 9;  // kStateSignerLeaves
+
+/// Every record of `dir`'s state log, kind byte first.
+std::vector<std::string> StateRecords(storage::Env* env,
+                                      const std::string& dir) {
+  std::unique_ptr<storage::SequentialFile> file;
+  EXPECT_TRUE(env->NewSequentialFile(dir + "/state.log", &file).ok());
+  std::vector<std::string> records;
+  if (file == nullptr) return records;
+  storage::log::Reader reader(std::move(file));
+  std::string record;
+  while (reader.ReadRecord(&record)) records.push_back(record);
+  return records;
+}
+
+bool IsSignerTable(const std::string& record) {
+  return !record.empty() &&
+         static_cast<uint8_t>(record[0]) == kSignerLeavesKind;
+}
+
+/// Signer leaf tables in `dir`'s state log. The tree is generated once
+/// per vault, so a recovered vault holds exactly one.
+size_t SignerTables(storage::Env* env, const std::string& dir) {
+  const std::vector<std::string> records = StateRecords(env, dir);
+  return std::count_if(records.begin(), records.end(), IsSignerTable);
+}
+
+/// Rewrites `dir`'s state log without its leaf tables (durably): the
+/// directory a build without leaf tables leaves behind.
+void StripSignerTables(storage::Env* env, const std::string& dir) {
+  std::vector<std::string> records = StateRecords(env, dir);
+  records.erase(
+      std::remove_if(records.begin(), records.end(), IsSignerTable),
+      records.end());
+  std::unique_ptr<storage::WritableFile> file;
+  ASSERT_TRUE(env->NewWritableFile(dir + "/state.log", &file).ok());
+  storage::log::Writer writer(std::move(file));
+  for (const std::string& r : records) ASSERT_TRUE(writer.AddRecord(r).ok());
+  ASSERT_TRUE(writer.Sync().ok());
+}
+
+/// The signer public key of a fault-free vault with Options().
+const std::string& ReferencePublicKey() {
+  static const std::string key = [] {
+    storage::MemEnv env;
+    ManualClock clock(1000000);
+    auto vault = Vault::Open(Options(&env, &clock));
+    EXPECT_TRUE(vault.ok()) << vault.status().ToString();
+    return vault.ok() ? (*vault)->SignerPublicKey() : std::string();
+  }();
+  return key;
 }
 
 /// Runs the lifecycle workload until it completes or the planned crash
@@ -250,6 +310,11 @@ void CheckRecovered(storage::Env* env, ManualClock* clock,
   Vault* vault = reopened->get();
 
   EXPECT_TRUE(vault->VerifyAudit().ok());
+
+  // The signer survives a crash anywhere, including during the leaf
+  // table's append: same identity, and exactly one table on disk.
+  EXPECT_EQ(vault->SignerPublicKey(), ReferencePublicKey());
+  EXPECT_EQ(SignerTables(env, "vault"), 1u);
 
   // Published-checkpoint contract: every checkpoint whose publication
   // was acknowledged survives the crash verbatim, the reopened log
@@ -460,11 +525,29 @@ TEST(CrashMatrixTest, EveryBoundaryKeepPartial) {
 // reconciliation rewrite, the kRecovery audit entry, the final sync).
 // Recovery must be idempotent: crash it at every boundary of a
 // recovering open, recover again, and the contract must still hold.
-TEST(CrashMatrixTest, CrashDuringRecoveryIsIdempotent) {
+// With `legacy`, the crashed directory first loses its signer leaf
+// table, as if written by a build without one: the recovering open then
+// also rebuilds the tree and appends the table, and is killed there too.
+void RunRecoveryRecrash(bool legacy) {
+  SCOPED_TRACE(legacy ? "legacy directory" : "current directory");
   // First crash: mid-lifecycle, somewhere that leaves real work for
   // recovery (two thirds through the workload).
   const uint64_t boundaries = CountBoundaries();
   const uint64_t first_crash = boundaries * 2 / 3;
+
+  auto crash_mid_workload = [&](storage::MemEnv* env,
+                                storage::FaultInjectionEnv* fault,
+                                ManualClock* clock, WorkloadTrace* trace) {
+    fault->PlanCrash(first_crash);
+    RunWorkload(fault, clock, trace);
+    ASSERT_TRUE(fault->crashed());
+    env->CrashAndRecover(storage::CrashMode::kDropUnsynced, 0);
+    if (legacy) {
+      ASSERT_EQ(SignerTables(env, "vault"), 1u);
+      StripSignerTables(env, "vault");
+    }
+    fault->Reset();
+  };
 
   // Discover how many ops a recovering open performs after that crash.
   uint64_t recovery_ops = 0;
@@ -473,15 +556,13 @@ TEST(CrashMatrixTest, CrashDuringRecoveryIsIdempotent) {
     env.SetCrashTrackingEnabled(true);
     storage::FaultInjectionEnv fault(&env);
     ManualClock clock(1000000);
-    fault.PlanCrash(first_crash);
     WorkloadTrace trace;
-    RunWorkload(&fault, &clock, &trace);
-    ASSERT_TRUE(fault.crashed());
-    env.CrashAndRecover(storage::CrashMode::kDropUnsynced, 0);
-    fault.Reset();
+    crash_mid_workload(&env, &fault, &clock, &trace);
     auto reopened = Vault::Open(Options(&fault, &clock));
     ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
     recovery_ops = fault.ops();
+    // The legacy open's boundaries include the table's append and sync.
+    EXPECT_EQ(SignerTables(&env, "vault"), 1u);
   }
 
   for (uint64_t k = 0; k < recovery_ops; k++) {
@@ -489,12 +570,8 @@ TEST(CrashMatrixTest, CrashDuringRecoveryIsIdempotent) {
     env.SetCrashTrackingEnabled(true);
     storage::FaultInjectionEnv fault(&env);
     ManualClock clock(1000000);
-    fault.PlanCrash(first_crash);
     WorkloadTrace trace;
-    RunWorkload(&fault, &clock, &trace);
-    ASSERT_TRUE(fault.crashed());
-    env.CrashAndRecover(storage::CrashMode::kDropUnsynced, 0);
-    fault.Reset();
+    crash_mid_workload(&env, &fault, &clock, &trace);
 
     // Second power cut: during the recovering open.
     fault.PlanCrash(k);
@@ -506,6 +583,11 @@ TEST(CrashMatrixTest, CrashDuringRecoveryIsIdempotent) {
     CheckRecovered(&env, &clock, trace,
                    "re-crash at recovery boundary " + std::to_string(k));
   }
+}
+
+TEST(CrashMatrixTest, CrashDuringRecoveryIsIdempotent) {
+  RunRecoveryRecrash(/*legacy=*/false);
+  RunRecoveryRecrash(/*legacy=*/true);
 }
 
 // ---------------------------------------------------------------------------
@@ -539,6 +621,22 @@ ShardedVaultOptions ShardedOptions(storage::Env* env, const Clock* clock) {
   options.signer_height = 4;
   options.ingest_threads = 1;  // deterministic boundary sequence
   return options;
+}
+
+/// Shard `k`'s signer public key in a fault-free ShardedOptions() vault.
+const std::string& ShardedReferencePublicKey(uint32_t k) {
+  static const std::vector<std::string> keys = [] {
+    storage::MemEnv env;
+    ManualClock clock(1000000);
+    auto vault = ShardedVault::Open(ShardedOptions(&env, &clock));
+    EXPECT_TRUE(vault.ok()) << vault.status().ToString();
+    std::vector<std::string> out(2);
+    for (uint32_t s = 0; vault.ok() && s < 2; ++s) {
+      out[s] = (*vault)->shard(s)->SignerPublicKey();
+    }
+    return out;
+  }();
+  return keys[k];
 }
 
 /// Two patient ids that hash to shard 0 and shard 1 respectively.
@@ -638,6 +736,15 @@ void CheckShardedRecovered(storage::Env* env, ManualClock* clock,
     ShardedVault* vault = reopened->get();
 
     EXPECT_TRUE(vault->VerifyAudit().ok());
+
+    // Each shard's signer survives a crash anywhere, including between
+    // the shards' leaf-table appends in the first open.
+    for (uint32_t k = 0; k < 2; ++k) {
+      EXPECT_EQ(vault->shard(k)->SignerPublicKey(),
+                ShardedReferencePublicKey(k));
+      EXPECT_EQ(SignerTables(env, vault->ShardDirPath(k)), 1u)
+          << "shard " << k;
+    }
 
     // Acked records (including both halves of an acked cross-shard
     // batch) survive at no less than their acknowledged version.

@@ -1,10 +1,12 @@
 // WOTS+ and XMSS-style hash-based signature tests: correctness,
-// forgery resistance, state discipline, serialization.
+// forgery resistance, state discipline, serialization, golden bytes, and
+// rebuilding a signer from its stored leaves.
 
 #include <gtest/gtest.h>
 
 #include <string>
 
+#include "common/hex.h"
 #include "crypto/sha256.h"
 #include "crypto/wots.h"
 #include "crypto/xmss.h"
@@ -223,6 +225,77 @@ TEST_F(XmssTest, DecodeRejectsGarbage) {
   std::string enc = sig->Encode();
   enc += "trailing";
   EXPECT_FALSE(XmssSignature::Decode(enc).ok());
+}
+
+
+TEST_F(XmssTest, FromLeavesMatchesSeedSigner) {
+  XmssSigner rebuilt(kSecretSeed, kPublicSeed, kHeight, signer_.leaves());
+  EXPECT_EQ(rebuilt.public_key(), signer_.public_key());
+  EXPECT_EQ(rebuilt.leaves(), signer_.leaves());
+  EXPECT_EQ(rebuilt.leaves().size(), size_t{1} << kHeight);
+  // Same leaf, same message: byte-identical signatures.
+  for (int i = 0; i < 3; i++) {
+    auto a = signer_.Sign("m" + std::to_string(i));
+    auto b = rebuilt.Sign("m" + std::to_string(i));
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    EXPECT_EQ(a->Encode(), b->Encode());
+  }
+}
+
+TEST_F(XmssTest, ForeignLeavesNeverVerifyUnderGenuineRoot) {
+  // Leaves from another secret build a signer with another root; what
+  // it signs does not verify under this signer's public key.
+  XmssSigner other("other-secret", kPublicSeed, kHeight);
+  XmssSigner spliced(kSecretSeed, kPublicSeed, kHeight, other.leaves());
+  EXPECT_NE(spliced.public_key(), signer_.public_key());
+  auto sig = spliced.Sign("msg");
+  ASSERT_TRUE(sig.ok());
+  EXPECT_TRUE(XmssSigner::Verify("msg", *sig, signer_.public_key(),
+                                 kPublicSeed, kHeight)
+                  .IsTamperDetected());
+}
+
+// Golden vectors: public keys and signature bytes pinned to the output
+// of the original allocating implementation (Sha256 object per chain
+// step, HMAC re-keyed per chain secret), so an optimization of key
+// generation or signing can never change what a vault has published.
+// A 26-byte public seed (chain input spans two blocks with the length
+// in the second) and a 32-byte one (the vault's shape); leaf 5, so the
+// auth path takes both left and right siblings.
+TEST(XmssGoldenTest, PublicKeyAndSignatureBytesAreStable) {
+  struct Golden {
+    std::string public_seed;
+    const char* public_key;
+    const char* signature_sha256;
+    const char* signature_head;  ///< first 48 encoded bytes
+  };
+  const Golden goldens[] = {
+      {kPublicSeed,
+       "71e0b045bc2489a4bc21b57d248b6d21ef6a5f579b9e19e1455de17ed6eec838",
+       "44046805152834e03dc0a887c051029a90aef643cb724f728eeab54e273e46af",
+       "05000000e010ea0921c4bcee308bf2c3b13a0edcc506be40bcd3fd2c8102b6dd83e6"
+       "c71127224fcbdc9bcc6fb3aca974"},
+      {Sha256Digest("golden-public-seed"),
+       "a4414c3aff143478aa38d923510f4e35b83b3ed105aa35fdcadbe5905041d138",
+       "3d1530f032690e0fae23b6d9d9817996f565050a327baaf1b184dc73ca42db35",
+       "05000000e010217a073df9f6c37d0670b58d83ae765ef543e1df8e779bb621cb3148"
+       "5652f9ae4fcbdc9bcc6fb3aca974"},
+  };
+  for (const Golden& g : goldens) {
+    XmssSigner signer(kSecretSeed, g.public_seed, 4);
+    EXPECT_EQ(HexEncode(signer.public_key()), g.public_key);
+    ASSERT_TRUE(signer.RestoreState(5).ok());
+    auto sig = signer.Sign("golden checkpoint");
+    ASSERT_TRUE(sig.ok());
+    const std::string encoded = sig->Encode();
+    EXPECT_EQ(encoded.size(), 2283u);
+    EXPECT_EQ(HexEncode(Slice(encoded.data(), 48)), g.signature_head);
+    EXPECT_EQ(HexEncode(Sha256Digest(encoded)), g.signature_sha256);
+    EXPECT_TRUE(XmssSigner::Verify("golden checkpoint", *sig,
+                                   signer.public_key(), g.public_seed, 4)
+                    .ok());
+  }
 }
 
 }  // namespace

@@ -1,13 +1,20 @@
 // Vault facade tests: full record lifecycle under access control, audit
 // coverage of every operation, break-glass, disposal with certificates,
-// search scoping, persistence, master-key rotation.
+// search scoping, persistence, master-key rotation, and the signer's
+// MAC-sealed leaf table in the state log.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
 
+#include "core/shard_router.h"
+#include "core/sharded_vault.h"
 #include "core/vault.h"
+#include "crypto/hkdf.h"
+#include "crypto/xmss.h"
+#include "storage/log_reader.h"
+#include "storage/log_writer.h"
 #include "storage/mem_env.h"
 
 namespace medvault::core {
@@ -613,6 +620,298 @@ TEST_F(VaultTest, CreateRecordsBatchValidatesWholeBatchFirst) {
   EXPECT_FALSE(rejected.ok());
   EXPECT_EQ(vault_->ListRecordIds().size(), before);
   EXPECT_TRUE(vault_->VerifyEverything().ok());
+}
+
+
+// ---- Signer leaf table ------------------------------------------------------
+//
+// A vault generates its XMSS tree once and keeps the 2^h leaf public keys
+// in the state log (kStateSignerLeaves), sealed by an HMAC whose key
+// derives from the vault entropy. Later opens rebuild the signer from
+// that table; a table that fails its MAC refuses the open.
+
+constexpr char kEntropy[] = "signer-table-entropy";
+constexpr uint8_t kSignerLeavesKind = 9;  // kStateSignerLeaves
+
+class SignerTableTest : public ::testing::Test {
+ protected:
+  VaultOptions Options(int height = 4, const std::string& dir = "vault",
+                       const std::string& entropy = kEntropy) {
+    VaultOptions options;
+    options.env = &env_;
+    options.dir = dir;
+    options.clock = &clock_;
+    options.master_key = std::string(32, 'M');
+    options.entropy = entropy;
+    options.signer_height = height;
+    options.metrics = &registry_;
+    return options;
+  }
+
+  std::unique_ptr<Vault> OpenOrDie(int height = 4) {
+    auto vault = Vault::Open(Options(height));
+    EXPECT_TRUE(vault.ok()) << vault.status().ToString();
+    return vault.ok() ? std::move(vault).value() : nullptr;
+  }
+
+  /// Every record in `dir`'s state log, kind byte first.
+  std::vector<std::string> StateRecords(const std::string& dir = "vault") {
+    std::unique_ptr<storage::SequentialFile> file;
+    EXPECT_TRUE(env_.NewSequentialFile(dir + "/state.log", &file).ok());
+    storage::log::Reader reader(std::move(file));
+    std::vector<std::string> records;
+    std::string record;
+    while (reader.ReadRecord(&record)) records.push_back(record);
+    EXPECT_TRUE(reader.status().ok()) << reader.status().ToString();
+    return records;
+  }
+
+  /// Rewrites `dir`'s state log from `records` with fresh frames, so
+  /// every CRC is valid whatever the payloads say.
+  void RewriteState(const std::vector<std::string>& records,
+                    const std::string& dir = "vault") {
+    std::unique_ptr<storage::WritableFile> file;
+    ASSERT_TRUE(env_.NewWritableFile(dir + "/state.log", &file).ok());
+    storage::log::Writer writer(std::move(file));
+    for (const std::string& r : records) {
+      ASSERT_TRUE(writer.AddRecord(r).ok());
+    }
+    ASSERT_TRUE(writer.Sync().ok());
+  }
+
+  static std::vector<size_t> TablePositions(
+      const std::vector<std::string>& records) {
+    std::vector<size_t> at;
+    for (size_t i = 0; i < records.size(); i++) {
+      if (!records[i].empty() &&
+          static_cast<uint8_t>(records[i][0]) == kSignerLeavesKind) {
+        at.push_back(i);
+      }
+    }
+    return at;
+  }
+
+  /// The signer a vault with kEntropy derives, built from its seed.
+  static crypto::XmssSigner SeedSigner(int height) {
+    auto secret = crypto::HkdfSha256(kEntropy, Slice(), "signer-secret", 32);
+    auto seed = crypto::HkdfSha256(kEntropy, Slice(), "signer-public", 32);
+    return crypto::XmssSigner(*secret, *seed, height);
+  }
+
+  uint64_t Rebuilds() {
+    return registry_.GetCounter("vault.signer.rebuilds")->Value();
+  }
+  uint64_t Loads() {
+    return registry_.GetCounter("vault.signer.loads")->Value();
+  }
+
+  storage::MemEnv env_;
+  ManualClock clock_{1000000};
+  obs::MetricsRegistry registry_;
+};
+
+TEST_F(SignerTableTest, ReopenLoadsTableAndSignsLikeSeedSigner) {
+  auto vault = OpenOrDie();
+  ASSERT_NE(vault, nullptr);
+  EXPECT_EQ(Rebuilds(), 1u);
+  EXPECT_EQ(Loads(), 0u);
+  EXPECT_EQ(TablePositions(StateRecords()).size(), 1u);
+  ASSERT_TRUE(vault->CheckpointAudit().ok());
+  const std::string public_key = vault->SignerPublicKey();
+  vault.reset();
+
+  vault = OpenOrDie();
+  ASSERT_NE(vault, nullptr);
+  EXPECT_EQ(Rebuilds(), 1u);
+  EXPECT_EQ(Loads(), 1u);
+  EXPECT_EQ(TablePositions(StateRecords()).size(), 1u);  // nothing new
+  EXPECT_EQ(vault->SignerPublicKey(), public_key);
+
+  crypto::XmssSigner reference = SeedSigner(4);
+  EXPECT_EQ(vault->SignerPublicKey(), reference.public_key());
+  EXPECT_EQ(vault->signer()->leaves(), reference.leaves());
+
+  // The next checkpoint's auth path is the seed-built signer's, byte
+  // for byte, and the signature verifies under the genuine root.
+  auto cp = vault->CheckpointAudit();
+  ASSERT_TRUE(cp.ok()) << cp.status().ToString();
+  auto sig = crypto::XmssSignature::Decode(cp->signature);
+  ASSERT_TRUE(sig.ok());
+  ASSERT_TRUE(reference.RestoreState(sig->leaf_index).ok());
+  auto ref_sig = reference.Sign("any message");
+  ASSERT_TRUE(ref_sig.ok());
+  EXPECT_EQ(ref_sig->leaf_index, sig->leaf_index);
+  EXPECT_EQ(sig->auth_path, ref_sig->auth_path);
+  EXPECT_TRUE(vault->VerifyAudit().ok());
+  EXPECT_TRUE(vault->VerifyEverything().ok());
+}
+
+TEST_F(SignerTableTest, LegacyDirectoryGainsExactlyOneTable) {
+  auto vault = OpenOrDie();
+  ASSERT_NE(vault, nullptr);
+  ASSERT_TRUE(
+      vault->RegisterPrincipal("boot", {"admin-r", Role::kAdmin, "Root"})
+          .ok());
+  ASSERT_TRUE(vault
+                  ->RegisterPrincipal("admin-r",
+                                      {"dr-a", Role::kPhysician, "Dr A"})
+                  .ok());
+  ASSERT_TRUE(
+      vault->RegisterPrincipal("admin-r", {"pat-p", Role::kPatient, "P"})
+          .ok());
+  ASSERT_TRUE(vault->AssignCare("admin-r", "dr-a", "pat-p").ok());
+  auto id = vault->CreateRecord("dr-a", "pat-p", "text/plain", "legacy note",
+                                {"legacy"}, "short-1y");
+  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE(vault->CheckpointAudit().ok());
+  ASSERT_TRUE(vault->SyncAll().ok());
+  const std::string public_key = vault->SignerPublicKey();
+  const uint64_t used = vault->signer()->SignaturesUsed();
+  vault.reset();
+
+  // Strip the table: what remains is the state log a build without
+  // leaf tables writes for the same history.
+  std::vector<std::string> records = StateRecords();
+  ASSERT_EQ(TablePositions(records).size(), 1u);
+  records.erase(records.begin() + TablePositions(records)[0]);
+  RewriteState(records);
+  const size_t legacy_count = records.size();
+
+  vault = OpenOrDie();
+  ASSERT_NE(vault, nullptr);
+  EXPECT_EQ(Rebuilds(), 2u);
+  EXPECT_EQ(vault->SignerPublicKey(), public_key);
+  EXPECT_GE(vault->signer()->SignaturesUsed(), used);
+  EXPECT_EQ(vault->ReadRecord("dr-a", *id)->plaintext, "legacy note");
+  EXPECT_TRUE(vault->VerifyEverything().ok());
+  vault.reset();
+
+  records = StateRecords();
+  EXPECT_EQ(records.size(), legacy_count + 1);
+  EXPECT_EQ(TablePositions(records), std::vector<size_t>{legacy_count});
+
+  // ...and the open after that loads it.
+  vault = OpenOrDie();
+  ASSERT_NE(vault, nullptr);
+  EXPECT_EQ(Loads(), 1u);
+  EXPECT_EQ(StateRecords().size(), legacy_count + 1);
+}
+
+TEST_F(SignerTableTest, TableWithWrongTagIsRefused) {
+  ASSERT_NE(OpenOrDie(), nullptr);
+  std::vector<std::string> records = StateRecords();
+  ASSERT_EQ(TablePositions(records).size(), 1u);
+  records[TablePositions(records)[0]].back() ^= 1;  // last tag byte
+  RewriteState(records);  // valid CRC over the bad tag
+  auto reopened = Vault::Open(Options());
+  EXPECT_TRUE(reopened.status().IsTamperDetected())
+      << reopened.status().ToString();
+
+  // A flipped leaf is caught the same way: the tag covers the leaves.
+  records[TablePositions(records)[0]].back() ^= 1;
+  records[TablePositions(records)[0]][10] ^= 1;
+  RewriteState(records);
+  reopened = Vault::Open(Options());
+  EXPECT_TRUE(reopened.status().IsTamperDetected())
+      << reopened.status().ToString();
+}
+
+TEST_F(SignerTableTest, TableFromAnotherSecretIsRefused) {
+  ASSERT_NE(OpenOrDie(), nullptr);
+  // An attacker's own vault yields a well-formed table for leaves only
+  // they can sign for; spliced in with a freshly framed CRC it must not
+  // become this vault's signer.
+  ASSERT_TRUE(Vault::Open(Options(4, "attacker", "attacker-entropy")).ok());
+  std::vector<std::string> foreign = StateRecords("attacker");
+  ASSERT_EQ(TablePositions(foreign).size(), 1u);
+
+  const std::string forged = foreign[TablePositions(foreign)[0]];
+
+  std::vector<std::string> records = StateRecords();
+  const size_t at = TablePositions(records)[0];
+  const std::string genuine = records[at];
+  records[at] = forged;
+  RewriteState(records);
+  auto reopened = Vault::Open(Options());
+  EXPECT_TRUE(reopened.status().IsTamperDetected())
+      << reopened.status().ToString();
+
+  // Appended after the genuine table, where the later table would win,
+  // it is refused too.
+  records[at] = genuine;
+  records.push_back(forged);
+  RewriteState(records);
+  reopened = Vault::Open(Options());
+  EXPECT_TRUE(reopened.status().IsTamperDetected())
+      << reopened.status().ToString();
+}
+
+TEST_F(SignerTableTest, ForeignTableQuarantinesOnlyItsShardWhenDegraded) {
+  ShardedVaultOptions options;
+  options.env = &env_;
+  options.dir = "sharded";
+  options.clock = &clock_;
+  options.master_key = std::string(32, 'M');
+  options.entropy = kEntropy;
+  options.num_shards = 4;
+  options.signer_height = 4;
+  options.metrics = &registry_;
+  options.ingest_threads = 1;
+  ASSERT_TRUE(ShardedVault::Open(options).ok());
+  EXPECT_EQ(Rebuilds(), 4u);
+
+  // Shard 1 gets shard 2's table: authentic for shard 2, foreign here.
+  const std::string victim = ShardRouter::ShardDir("sharded", 1);
+  const std::string donor = ShardRouter::ShardDir("sharded", 2);
+  std::vector<std::string> records = StateRecords(victim);
+  std::vector<std::string> donor_records = StateRecords(donor);
+  ASSERT_EQ(TablePositions(records).size(), 1u);
+  ASSERT_EQ(TablePositions(donor_records).size(), 1u);
+  records[TablePositions(records)[0]] =
+      donor_records[TablePositions(donor_records)[0]];
+  RewriteState(records, victim);
+
+  auto strict = ShardedVault::Open(options);
+  EXPECT_TRUE(strict.status().IsTamperDetected())
+      << strict.status().ToString();
+
+  options.open_mode = OpenMode::kDegraded;
+  auto degraded = ShardedVault::Open(options);
+  ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
+  EXPECT_EQ((*degraded)->QuarantinedShards(), std::vector<uint32_t>{1});
+  EXPECT_NE((*degraded)->QuarantineReason(1).find("leaf table"),
+            std::string::npos)
+      << (*degraded)->QuarantineReason(1);
+  for (uint32_t k : {0u, 2u, 3u}) {
+    ASSERT_NE((*degraded)->shard(k), nullptr);
+    EXPECT_TRUE((*degraded)->shard(k)->VerifyEverything().ok());
+  }
+}
+
+TEST_F(SignerTableTest, TableForAnotherHeightIsIgnoredAndRebuilt) {
+  ASSERT_NE(OpenOrDie(4), nullptr);
+  EXPECT_EQ(Rebuilds(), 1u);
+
+  // Reopening at height 3 cannot use the height-4 table: it builds the
+  // height-3 tree from the seed and appends a table for it.
+  auto vault = OpenOrDie(3);
+  ASSERT_NE(vault, nullptr);
+  EXPECT_EQ(Rebuilds(), 2u);
+  EXPECT_EQ(Loads(), 0u);
+  EXPECT_EQ(vault->SignerPublicKey(), SeedSigner(3).public_key());
+  vault.reset();
+  EXPECT_EQ(TablePositions(StateRecords()).size(), 2u);
+
+  // Each height now finds its own table.
+  vault = OpenOrDie(3);
+  ASSERT_NE(vault, nullptr);
+  EXPECT_EQ(vault->SignerPublicKey(), SeedSigner(3).public_key());
+  vault.reset();
+  vault = OpenOrDie(4);
+  ASSERT_NE(vault, nullptr);
+  EXPECT_EQ(vault->SignerPublicKey(), SeedSigner(4).public_key());
+  EXPECT_EQ(Rebuilds(), 2u);
+  EXPECT_EQ(Loads(), 2u);
 }
 
 }  // namespace
