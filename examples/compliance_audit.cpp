@@ -7,7 +7,7 @@
 
 #include "common/clock.h"
 #include "common/hex.h"
-#include "core/vault.h"
+#include "core/sharded_vault.h"
 #include "sim/adversary.h"
 #include "storage/mem_env.h"
 
@@ -16,21 +16,23 @@ using medvault::ManualClock;
 using medvault::Slice;
 using medvault::core::AuditLog;
 using medvault::core::Role;
-using medvault::core::Vault;
-using medvault::core::VaultOptions;
+using medvault::core::ShardedVault;
+using medvault::core::ShardedVaultOptions;
 
 int main() {
   medvault::storage::MemEnv env;
   ManualClock clock(1000000);
 
-  VaultOptions options;
+  // One shard: a single audit chain, whose log the insider edits below.
+  ShardedVaultOptions options;
   options.env = &env;
   options.dir = "vault";
   options.clock = &clock;
   options.master_key = std::string(32, 'C');
   options.entropy = "audit-demo-entropy";
   options.signer_height = 4;
-  auto vault = std::move(Vault::Open(options)).value();
+  auto vault = std::move(ShardedVault::Open(options)).value();
+  medvault::core::Vault* shard = vault->shard(0);
 
   (void)vault->RegisterPrincipal("boot", {"admin", Role::kAdmin, "IT"});
   (void)vault->RegisterPrincipal("admin",
@@ -47,10 +49,11 @@ int main() {
                               "visit note " + std::to_string(i),
                               {"checkup"}, "hipaa-6y");
   }
-  auto retained = vault->CheckpointAudit();  // the auditor keeps this
+  // The auditor keeps this (one signed checkpoint per shard).
+  const auto retained = vault->CheckpointAudit()->front();
   printf("auditor retains checkpoint: size=%llu root=%s...\n",
-         static_cast<unsigned long long>(retained->tree_size),
-         HexEncode(Slice(retained->root.data(), 6)).c_str());
+         static_cast<unsigned long long>(retained.tree_size),
+         HexEncode(Slice(retained.root.data(), 6)).c_str());
 
   for (int i = 5; i < 9; i++) {
     (void)vault->CreateRecord("dr-a", "pat-1", "text/plain",
@@ -63,38 +66,40 @@ int main() {
          vault->VerifyAudit().ToString().c_str());
   // 2. Append-only proof against the retained head.
   printf("[2] consistency vs checkpoint: %s\n",
-         vault->VerifyAuditAgainstTrusted(*retained).ToString().c_str());
+         shard->VerifyAuditAgainstTrusted(retained).ToString().c_str());
 
   // 3. Prove one specific event to a third party (O(log n) proof).
-  auto proof = vault->audit()->ProveEvent(3);
+  auto proof = shard->audit()->ProveEvent(3);
   printf("[3] inclusion proof for event #3: %zu hashes, verifies: %s\n",
          proof->path.size(),
-         AuditLog::VerifyEventProof(*proof, vault->audit()->Root())
+         AuditLog::VerifyEventProof(*proof, shard->audit()->Root())
              .ToString()
              .c_str());
 
   // --- Attack 1: insider flips bytes in the audit log -------------------
   medvault::sim::InsiderAdversary insider(&env, 99);
-  (void)insider.TamperRandomBytes({"vault/audit.log"}, 3);
+  (void)insider.TamperRandomBytes({vault->ShardDirPath(0) + "/audit.log"}, 3);
   printf("\n[attack] insider flips 3 bytes in audit.log\n");
-  printf("detection: %s\n", vault->VerifyAudit().ToString().c_str());
+  const medvault::Status flipped = vault->VerifyAudit();
+  printf("detection: %s\n", flipped.ToString().c_str());
 
   // --- Attack 2: insider rewrites the whole log shorter ------------------
   // (Simulate with a fresh vault whose log lacks the retained history.)
   medvault::storage::MemEnv env2;
-  VaultOptions options2 = options;
+  ShardedVaultOptions options2 = options;
   options2.env = &env2;
-  auto rewritten = std::move(Vault::Open(options2)).value();
+  auto rewritten = std::move(ShardedVault::Open(options2)).value();
   (void)rewritten->RegisterPrincipal("boot",
                                      {"admin", Role::kAdmin, "IT"});
   printf("\n[attack] insider replaces the log with a clean, shorter one\n");
   printf("internal verification of forged log: %s  <- looks clean!\n",
          rewritten->VerifyAudit().ToString().c_str());
+  const medvault::Status forged =
+      rewritten->shard(0)->VerifyAuditAgainstTrusted(retained);
   printf("against auditor's retained head:     %s\n",
-         rewritten->VerifyAuditAgainstTrusted(*retained)
-             .ToString()
-             .c_str());
+         forged.ToString().c_str());
   printf("\n=> externally retained checkpoints are what make the trail "
          "trustworthy.\n");
-  return 0;
+  // Both attacks must have been caught.
+  return !flipped.ok() && !forged.ok() ? 0 : 1;
 }

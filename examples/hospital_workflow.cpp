@@ -6,7 +6,7 @@
 #include <string>
 
 #include "common/clock.h"
-#include "core/vault.h"
+#include "core/sharded_vault.h"
 #include "storage/mem_env.h"
 
 using medvault::ManualClock;
@@ -14,22 +14,24 @@ using medvault::kMicrosPerDay;
 using medvault::kMicrosPerSecond;
 using medvault::core::AuditActionName;
 using medvault::core::Role;
-using medvault::core::Vault;
-using medvault::core::VaultOptions;
+using medvault::core::ShardedVault;
+using medvault::core::ShardedVaultOptions;
+using medvault::core::ShardRouter;
 
 int main() {
   medvault::storage::MemEnv env;
   ManualClock clock(1700000000LL * 1000000);  // a fixed "today"
 
-  VaultOptions options;
+  ShardedVaultOptions options;
   options.env = &env;
   options.dir = "hospital-vault";
   options.clock = &clock;
   options.master_key = std::string(32, 'H');
   options.entropy = "hospital-entropy";
+  options.num_shards = ShardRouter::ReadManifest(&env, options.dir).ValueOr(1);
   options.signer_height = 4;
   options.system_id = "st-elsewhere-ehr";
-  auto vault = std::move(Vault::Open(options)).value();
+  auto vault = std::move(ShardedVault::Open(options)).value();
 
   // --- Staff & patient registration -----------------------------------
   (void)vault->RegisterPrincipal("boot", {"admin", Role::kAdmin, "IT"});
@@ -111,10 +113,12 @@ int main() {
            AuditActionName(e.action), e.actor.c_str(),
            e.details.substr(0, 48).c_str());
   }
-  auto checkpoint = vault->CheckpointAudit();
-  printf("audit checkpoint signed over %llu events\n",
-         static_cast<unsigned long long>(checkpoint->tree_size));
-  printf("verify everything: %s\n",
-         vault->VerifyEverything().ToString().c_str());
-  return 0;
+  auto checkpoints = vault->CheckpointAudit();
+  for (const auto& checkpoint : *checkpoints) {
+    printf("audit checkpoint signed over %llu events\n",
+           static_cast<unsigned long long>(checkpoint.tree_size));
+  }
+  const medvault::Status verified = vault->VerifyEverything();
+  printf("verify everything: %s\n", verified.ToString().c_str());
+  return verified.ok() ? 0 : 1;
 }

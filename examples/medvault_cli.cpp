@@ -2,6 +2,8 @@
 //
 //   medvault_cli <vault-dir> <command> [args...]
 //
+// A fresh directory becomes a one-shard ShardedVault (record ids read
+// "s0-r-<n>"); an existing one opens with the count in its shards.meta.
 // The master key and entropy seed come from MEDVAULT_MASTER_KEY /
 // MEDVAULT_ENTROPY (any strings; the key is padded/truncated to 32
 // bytes). Demo-grade key handling — production puts these in a KMS.
@@ -33,7 +35,7 @@
 #include "common/clock.h"
 #include "common/hex.h"
 #include "core/audit.h"
-#include "core/vault.h"
+#include "core/sharded_vault.h"
 #include "storage/posix_env.h"
 
 namespace {
@@ -45,8 +47,9 @@ using medvault::core::AuditActionName;
 using medvault::core::AuditEvent;
 using medvault::core::CustodyEventTypeName;
 using medvault::core::Role;
-using medvault::core::Vault;
-using medvault::core::VaultOptions;
+using medvault::core::ShardedVault;
+using medvault::core::ShardedVaultOptions;
+using medvault::core::ShardRouter;
 
 int Usage() {
   fprintf(stderr,
@@ -98,15 +101,16 @@ int main(int argc, char** argv) {
   static medvault::SystemClock clock;
   std::string master = EnvOr("MEDVAULT_MASTER_KEY", "demo-master-key");
   master.resize(32, '#');
-  VaultOptions options;
+  ShardedVaultOptions options;
   options.env = medvault::storage::PosixEnv::Default();
   options.dir = dir;
   options.clock = &clock;
   options.master_key = master;
   options.entropy = EnvOr("MEDVAULT_ENTROPY", "demo-entropy:" + dir);
+  options.num_shards = ShardRouter::ReadManifest(options.env, dir).ValueOr(1);
   options.signer_height = 8;
 
-  auto vault_or = Vault::Open(options);
+  auto vault_or = ShardedVault::Open(options);
   if (!vault_or.ok()) return Fail(vault_or.status());
   auto vault = std::move(vault_or).value();
 
@@ -202,11 +206,13 @@ int main(int argc, char** argv) {
     if (!events.ok()) return Fail(events.status());
     PrintEvents(*events);
   } else if (command == "checkpoint") {
-    auto cp = vault->CheckpointAudit();
-    if (!cp.ok()) return Fail(cp.status());
-    printf("checkpoint: size=%llu root=%s (retain this off-site)\n",
-           static_cast<unsigned long long>(cp->tree_size),
-           HexEncode(cp->root).c_str());
+    auto checkpoints = vault->CheckpointAudit();
+    if (!checkpoints.ok()) return Fail(checkpoints.status());
+    for (const auto& cp : *checkpoints) {
+      printf("checkpoint: size=%llu root=%s (retain this off-site)\n",
+             static_cast<unsigned long long>(cp.tree_size),
+             HexEncode(cp.root).c_str());
+    }
   } else if (command == "verify") {
     Status s = vault->VerifyEverything();
     printf("%s\n", s.ToString().c_str());

@@ -9,7 +9,7 @@
 #include "common/hex.h"
 #include "core/backup.h"
 #include "core/migration.h"
-#include "core/vault.h"
+#include "core/sharded_vault.h"
 #include "storage/mem_env.h"
 
 using medvault::HexEncode;
@@ -19,16 +19,17 @@ using medvault::core::BackupManager;
 using medvault::core::Migrator;
 using medvault::core::RetentionManager;
 using medvault::core::Role;
-using medvault::core::Vault;
-using medvault::core::VaultOptions;
+using medvault::core::ShardedVault;
+using medvault::core::ShardedVaultOptions;
 
 namespace {
 
-std::unique_ptr<Vault> OpenVault(medvault::storage::Env* env,
-                                 const ManualClock* clock,
-                                 const std::string& system,
-                                 const std::string& entropy) {
-  VaultOptions options;
+// One shard per generation, so shard(0) holds the keys and the receipt.
+std::unique_ptr<ShardedVault> OpenVault(medvault::storage::Env* env,
+                                        const ManualClock* clock,
+                                        const std::string& system,
+                                        const std::string& entropy) {
+  ShardedVaultOptions options;
   options.env = env;
   options.dir = "vault";
   options.clock = clock;
@@ -36,7 +37,7 @@ std::unique_ptr<Vault> OpenVault(medvault::storage::Env* env,
   options.entropy = entropy;
   options.signer_height = 4;
   options.system_id = system;
-  auto vault = std::move(Vault::Open(options)).value();
+  auto vault = std::move(ShardedVault::Open(options)).value();
   (void)vault->RegisterPrincipal("boot", {"admin", Role::kAdmin, "IT"});
   (void)vault->RegisterPrincipal("admin",
                                  {"dr-a", Role::kPhysician, "Dr A"});
@@ -64,7 +65,7 @@ int main() {
 
   // Year 3: off-site backup.
   clock.AdvanceYears(3);
-  auto manifest = BackupManager::Backup(gen1.get(), "admin", &offsite,
+  auto manifest = BackupManager::Backup(gen1->shard(0), "admin", &offsite,
                                         "offsite");
   printf("year 3: off-site backup %s (%zu files), verify: %s\n",
          manifest->backup_id.c_str(), manifest->files.size(),
@@ -81,13 +82,14 @@ int main() {
   // Year 12: hardware refresh. Verifiable migration to gen2.
   clock.AdvanceYears(2);
   auto gen2 = OpenVault(&gen2_disk, &clock, "ehr-gen2", "entropy-gen2");
-  auto receipt = Migrator::Migrate(gen1.get(), gen2.get(), "admin");
+  auto receipts = Migrator::MigrateSharded(gen1.get(), gen2.get(), "admin");
+  const auto& receipt = receipts->front();  // one receipt per shard
   printf("year 12: migrated %llu records / %llu versions, root=%s...\n",
-         static_cast<unsigned long long>(receipt->record_count),
-         static_cast<unsigned long long>(receipt->version_count),
-         HexEncode(Slice(receipt->content_root.data(), 6)).c_str());
+         static_cast<unsigned long long>(receipt.record_count),
+         static_cast<unsigned long long>(receipt.version_count),
+         HexEncode(Slice(receipt.content_root.data(), 6)).c_str());
   printf("         dual-signed receipt verifies: %s\n",
-         Migrator::VerifyReceipt(*receipt, gen1.get(), gen2.get())
+         Migrator::VerifyReceipt(receipt, gen1->shard(0), gen2->shard(0))
              .ToString()
              .c_str());
 
@@ -102,16 +104,18 @@ int main() {
   // Year 31: retention expired. Disposal succeeds with a certificate.
   clock.AdvanceYears(19);
   auto cert = gen2->DisposeRecord("admin", *id);
+  const medvault::core::Vault* signer = gen2->shard(0);
   printf("year 31: disposed. certificate by %s under %s, verifies: %s\n",
          cert->authorizer.c_str(), cert->policy.c_str(),
          RetentionManager::VerifyCertificate(
-             *cert, gen2->SignerPublicKey(), gen2->SignerPublicSeed(),
-             gen2->SignerHeight())
+             *cert, signer->SignerPublicKey(), signer->SignerPublicSeed(),
+             signer->SignerHeight())
              .ToString()
              .c_str());
   printf("         read after disposal -> %s\n",
          gen2->ReadRecord("dr-a", *id).status().ToString().c_str());
+  const medvault::Status verified = gen2->VerifyEverything();
   printf("         remaining state verifies: %s\n",
-         gen2->VerifyEverything().ToString().c_str());
-  return 0;
+         verified.ToString().c_str());
+  return verified.ok() ? 0 : 1;
 }

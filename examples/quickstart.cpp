@@ -5,38 +5,42 @@
 #include <string>
 
 #include "common/clock.h"
-#include "core/vault.h"
+#include "core/sharded_vault.h"
 #include "storage/mem_env.h"
 
 using medvault::core::Role;
-using medvault::core::Vault;
-using medvault::core::VaultOptions;
+using medvault::core::ShardedVault;
+using medvault::core::ShardedVaultOptions;
 
 int main() {
   // A vault needs an Env (filesystem), a clock, a 32-byte master key,
-  // and an entropy seed (in production: from an HSM / OS entropy).
+  // and an entropy seed (in production: from an HSM / OS entropy); a
+  // fresh directory (no shards.meta yet) becomes a single-shard store.
   medvault::storage::MemEnv env;
   medvault::SystemClock clock;
 
-  VaultOptions options;
+  ShardedVaultOptions options;
   options.env = &env;
   options.dir = "demo-vault";
   options.clock = &clock;
   options.master_key = std::string(32, 'K');  // demo only!
   options.entropy = "quickstart-entropy-seed";
+  options.num_shards =
+      medvault::core::ShardRouter::ReadManifest(&env, options.dir).ValueOr(1);
   options.signer_height = 4;
 
-  auto vault_or = Vault::Open(options);
+  auto vault_or = ShardedVault::Open(options);
   if (!vault_or.ok()) {
     fprintf(stderr, "open failed: %s\n",
             vault_or.status().ToString().c_str());
     return 1;
   }
   auto vault = std::move(vault_or).value();
+  const std::string& signer = vault->shard(0)->SignerPublicKey();
   printf("vault opened; signer public key fingerprint: %02x%02x%02x...\n",
-         static_cast<unsigned char>(vault->SignerPublicKey()[0]),
-         static_cast<unsigned char>(vault->SignerPublicKey()[1]),
-         static_cast<unsigned char>(vault->SignerPublicKey()[2]));
+         static_cast<unsigned char>(signer[0]),
+         static_cast<unsigned char>(signer[1]),
+         static_cast<unsigned char>(signer[2]));
 
   // Register a minimal cast: one admin, one physician, one patient.
   (void)vault->RegisterPrincipal("boot", {"admin", Role::kAdmin, "Admin"});
@@ -80,7 +84,7 @@ int main() {
          vault->VerifyAudit().ToString().c_str());
 
   // Full integrity check: records + audit + custody chains.
-  printf("verify everything: %s\n",
-         vault->VerifyEverything().ToString().c_str());
-  return 0;
+  const medvault::Status verified = vault->VerifyEverything();
+  printf("verify everything: %s\n", verified.ToString().c_str());
+  return verified.ok() ? 0 : 1;
 }

@@ -215,6 +215,16 @@ Result<std::vector<MigrationReceipt>> Migrator::MigrateSharded(
         std::to_string(target->num_shards()) +
         "); reshard via a dedicated re-placement migration instead");
   }
+  // Migration must be total, like key rotation: a quarantined shard on
+  // either side is refused before any shard moves.
+  for (ShardedVault* side : {source, target}) {
+    const std::vector<uint32_t> down = side->QuarantinedShards();
+    if (down.empty()) continue;
+    return Status::FailedPrecondition(
+        std::string(side == source ? "source" : "target") + " shard " +
+        std::to_string(down[0]) +
+        " is quarantined: " + side->QuarantineReason(down[0]));
+  }
   std::vector<MigrationReceipt> receipts;
   receipts.reserve(source->num_shards());
   for (uint32_t k = 0; k < source->num_shards(); ++k) {

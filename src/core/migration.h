@@ -55,10 +55,12 @@ class Migrator {
   /// shard of `target` (the counts must be equal — placement hashes bake
   /// the count in, so resharding-while-migrating would scatter ids away
   /// from where the router expects them). Each shard pair produces its
-  /// own dual-signed receipt, returned in shard order; on a mid-way
-  /// failure the receipts of already-migrated shards are lost but their
-  /// shards remain verifiably migrated (re-running fails AlreadyExists
-  /// on those, by Migrate's own guard).
+  /// own dual-signed receipt, returned in shard order. A quarantined
+  /// shard on either side is refused (FailedPrecondition) before any
+  /// shard is touched. On a mid-way failure the receipts of
+  /// already-migrated shards are lost but their shards remain verifiably
+  /// migrated (re-running fails AlreadyExists on those, by Migrate's own
+  /// guard).
   static Result<std::vector<MigrationReceipt>> MigrateSharded(
       ShardedVault* source, ShardedVault* target, const PrincipalId& actor);
 };

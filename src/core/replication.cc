@@ -1,7 +1,6 @@
 #include "core/replication.h"
 
 #include <algorithm>
-#include <thread>
 #include <utility>
 
 #include "common/coding.h"
@@ -833,19 +832,16 @@ Result<std::unique_ptr<Vault>> ReplicaApplier::Promote(
 // ---------------------------------------------------------------------------
 
 ShardedReplicationSource::ShardedReplicationSource(ShardedVault* vault)
-    : vault_(vault), sources_(vault->num_shards()) {}
+    : vault_(vault), sources_(vault) {}
 
 ReplicationSource* ShardedReplicationSource::Source(uint32_t k) {
   // Quarantined shards have no vault to cut from; they stay without a
   // source (CutAll skips them, the replica keeps its last state) until
-  // RejoinShard mounts one. A mounted Vault* never changes afterwards.
-  Vault* shard = vault_->shard(k);
-  if (shard == nullptr) return nullptr;
+  // RejoinShard mounts one.
   std::lock_guard<std::mutex> lock(mu_);
-  if (sources_[k] == nullptr) {
-    sources_[k] = std::make_unique<ReplicationSource>(shard);
-  }
-  return sources_[k].get();
+  return *sources_.Get(k, [](Vault* shard) {
+    return std::make_unique<ReplicationSource>(shard);
+  });
 }
 
 Result<std::vector<ShippedBatch>> ShardedReplicationSource::CutAll(
@@ -891,7 +887,7 @@ uint64_t ShardedReplicationSource::Sum(
     uint64_t (ReplicationSource::*stat)() const) const {
   std::lock_guard<std::mutex> lock(mu_);
   uint64_t total = 0;
-  for (const auto& s : sources_) {
+  for (const auto& s : sources_.built()) {
     if (s != nullptr) total += (s.get()->*stat)();
   }
   return total;
@@ -921,29 +917,15 @@ Result<std::unique_ptr<ShardedReplicaApplier>> ShardedReplicaApplier::Open(
   }
   std::unique_ptr<ShardedReplicaApplier> applier(
       new ShardedReplicaApplier(options));
-  MEDVAULT_RETURN_IF_ERROR(options.env->CreateDirIfMissing(options.dir));
   // The shard count is on-disk identity for the replica exactly as for
-  // the primary: persist it on first open, refuse a mismatch after.
-  auto manifest = ShardRouter::ReadManifest(options.env, options.dir);
-  if (manifest.ok()) {
-    if (manifest.value() != options.num_shards) {
-      return Status::FailedPrecondition(
-          "replica directory was created with a different shard count");
-    }
-  } else if (manifest.status().IsNotFound()) {
-    MEDVAULT_RETURN_IF_ERROR(ShardRouter::WriteManifest(
-        options.env, options.dir, options.num_shards));
-  } else {
-    return manifest.status();
-  }
+  // the primary.
+  MEDVAULT_RETURN_IF_ERROR(
+      ShardRouter::OpenLayout(options.env, options.dir, options.num_shards));
   for (uint32_t k = 0; k < options.num_shards; k++) {
     // The same per-shard entropy derivation the primary uses, so each
     // shard stream authenticates under its own key.
-    MEDVAULT_ASSIGN_OR_RETURN(
-        std::string shard_entropy,
-        crypto::HkdfSha256(options.entropy, Slice(),
-                           "medvault-shard-entropy-" + std::to_string(k),
-                           64));
+    MEDVAULT_ASSIGN_OR_RETURN(std::string shard_entropy,
+                              ShardRouter::ShardEntropy(options.entropy, k));
     ReplicaApplier::Options shard_options;
     shard_options.env = options.env;
     shard_options.dir = ShardRouter::ShardDir(options.dir, k);
@@ -953,11 +935,8 @@ Result<std::unique_ptr<ShardedReplicaApplier>> ShardedReplicaApplier::Open(
                               ReplicaApplier::Open(shard_options));
     applier->appliers_.push_back(std::move(shard));
   }
-  unsigned threads = options.apply_threads;
-  if (threads == 0) {
-    unsigned hw = std::thread::hardware_concurrency();
-    threads = std::min<unsigned>(options.num_shards, hw != 0 ? hw : 4);
-  }
+  const unsigned threads =
+      ShardRouter::FanOutThreads(options.apply_threads, options.num_shards);
   applier->pool_ = std::make_unique<WorkerPool>(threads > 1 ? threads : 0);
   return applier;
 }

@@ -341,7 +341,7 @@ class ShardedReplicationSource {
 
   ShardedVault* vault_;
   mutable std::mutex mu_;  ///< guards the sources_ slots
-  std::vector<std::unique_ptr<ReplicationSource>> sources_;
+  PerShard<ReplicationSource> sources_;
 };
 
 /// Per-shard fan-out of ReplicaApplier for a sharded standby: the

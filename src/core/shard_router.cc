@@ -1,6 +1,10 @@
 #include "core/shard_router.h"
 
+#include <algorithm>
 #include <charconv>
+#include <thread>
+
+#include "crypto/hkdf.h"
 
 namespace medvault::core {
 
@@ -72,6 +76,61 @@ bool ShardRouter::ShardOfConsentId(const std::string& grant_id,
   }
   *shard = k;
   return true;
+}
+
+Result<std::string> ShardRouter::ShardMasterKey(const Slice& master_key,
+                                                uint32_t shard) {
+  return crypto::HkdfSha256(master_key, Slice(),
+                            "medvault-shard-master-" + std::to_string(shard),
+                            32);
+}
+
+Result<std::string> ShardRouter::ShardEntropy(const Slice& entropy,
+                                              uint32_t shard) {
+  return crypto::HkdfSha256(entropy, Slice(),
+                            "medvault-shard-entropy-" + std::to_string(shard),
+                            64);
+}
+
+unsigned ShardRouter::FanOutThreads(unsigned requested, uint32_t num_shards) {
+  if (requested != 0) return requested;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return std::min<unsigned>(num_shards, hw != 0 ? hw : 1);
+}
+
+Status ShardRouter::OpenLayout(storage::Env* env, const std::string& root,
+                               uint32_t num_shards) {
+  // The shard count is part of the vault's identity: it is persisted at
+  // first open and any later open must present the same count, because
+  // both the placement hash and the id prefixes bake it in.
+  auto persisted = ReadManifest(env, root);
+  if (persisted.ok()) {
+    if (*persisted != num_shards) {
+      return Status::InvalidArgument(
+          "shard-count mismatch: vault at '" + root + "' was created with " +
+          std::to_string(*persisted) + " shards but open requested " +
+          std::to_string(num_shards) +
+          "; resharding requires migration, not reopening");
+    }
+    return Status::OK();
+  }
+  if (!persisted.status().IsNotFound()) return persisted.status();
+  if (env->FileExists(root + "/state.log")) {
+    return Status::FailedPrecondition(
+        "'" + root +
+        "' holds a plain vault (state.log, no shards.meta); it cannot be "
+        "opened as a sharded vault");
+  }
+  MEDVAULT_RETURN_IF_ERROR(env->CreateDirIfMissing(root));
+  return WriteManifest(env, root, num_shards);
+}
+
+Status ShardRouter::RefusePlainVaultAt(storage::Env* env,
+                                       const std::string& dir) {
+  if (!env->FileExists(dir + kManifestName)) return Status::OK();
+  return Status::FailedPrecondition(
+      "'" + dir +
+      "' is a sharded vault root (shards.meta); open it as a sharded vault");
 }
 
 Status ShardRouter::WriteManifest(storage::Env* env, const std::string& root,

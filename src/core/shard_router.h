@@ -5,6 +5,7 @@
 #include <string>
 
 #include "common/result.h"
+#include "common/slice.h"
 #include "core/record.h"
 #include "storage/env.h"
 
@@ -63,7 +64,31 @@ class ShardRouter {
   /// ("s<k>-cg-<n>"). Returns false for non-sharded ids ("cg-<n>").
   static bool ShardOfConsentId(const std::string& grant_id, uint32_t* shard);
 
-  // ---- Shard-count manifest -------------------------------------------
+  // ---- Per-shard key domains and fan-out --------------------------------
+
+  /// Shard `k`'s 32-byte key-wrapping master and 64-byte entropy, HKDF-
+  /// derived from the vault's (info medvault-shard-master-<k> and
+  /// medvault-shard-entropy-<k>), so shards are independent key domains.
+  static Result<std::string> ShardMasterKey(const Slice& master_key,
+                                            uint32_t shard);
+  static Result<std::string> ShardEntropy(const Slice& entropy,
+                                          uint32_t shard);
+
+  /// Threads for a per-shard fan-out: `requested` if non-zero, else
+  /// min(num_shards, hardware threads), an unknown count counting as 1.
+  static unsigned FanOutThreads(unsigned requested, uint32_t num_shards);
+
+  // ---- On-disk layout -------------------------------------------------
+
+  /// Opens or creates the sharded layout at `root` before writing there:
+  /// a plain Vault directory (state.log, no shards.meta) is refused with
+  /// FailedPrecondition, a fresh root gets a manifest, and another count
+  /// is refused with InvalidArgument ("shard-count mismatch").
+  static Status OpenLayout(storage::Env* env, const std::string& root,
+                           uint32_t num_shards);
+  /// FailedPrecondition if `dir` is a sharded root (holds shards.meta),
+  /// where a plain Vault would write a second, empty vault.
+  static Status RefusePlainVaultAt(storage::Env* env, const std::string& dir);
 
   /// Durably records `num_shards` in `<root>/shards.meta`.
   static Status WriteManifest(storage::Env* env, const std::string& root,

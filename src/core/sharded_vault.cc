@@ -1,14 +1,10 @@
 #include "core/sharded_vault.h"
 
-#include <algorithm>
 #include <charconv>
-#include <functional>
-#include <thread>
 #include <utility>
 
-#include "core/scrub.h"
 #include "common/worker_pool.h"
-#include "crypto/hkdf.h"
+#include "core/scrub.h"
 #include "crypto/merkle.h"
 
 namespace medvault::core {
@@ -52,27 +48,8 @@ Status ShardedVault::Init() {
                                          : obs::MetricsRegistry::Default();
   op_metrics_ = obs::VaultOpMetrics::For(metrics_, "sharded");
 
-  MEDVAULT_RETURN_IF_ERROR(env->CreateDirIfMissing(options_.dir));
-
-  // The shard count is part of the vault's identity: it is persisted at
-  // first open and any later open must present the same count, because
-  // both the placement hash and the id prefixes bake it in.
-  auto persisted = ShardRouter::ReadManifest(env, options_.dir);
-  if (persisted.ok()) {
-    if (*persisted != options_.num_shards) {
-      return Status::InvalidArgument(
-          "shard-count mismatch: vault at '" + options_.dir +
-          "' was created with " + std::to_string(*persisted) +
-          " shards but open requested " +
-          std::to_string(options_.num_shards) +
-          "; resharding requires migration, not reopening");
-    }
-  } else if (persisted.status().IsNotFound()) {
-    MEDVAULT_RETURN_IF_ERROR(
-        ShardRouter::WriteManifest(env, options_.dir, options_.num_shards));
-  } else {
-    return persisted.status();
-  }
+  MEDVAULT_RETURN_IF_ERROR(
+      ShardRouter::OpenLayout(env, options_.dir, options_.num_shards));
 
   if (options_.cache_bytes > 0) {
     cache_ = std::make_unique<RecordCache>(options_.cache_bytes);
@@ -116,12 +93,8 @@ Status ShardedVault::Init() {
   }
   PublishQuarantineGauge();
 
-  unsigned threads = options_.ingest_threads;
-  if (threads == 0) {
-    unsigned hw = std::thread::hardware_concurrency();
-    if (hw == 0) hw = 1;
-    threads = std::min<unsigned>(options_.num_shards, hw);
-  }
+  const unsigned threads =
+      ShardRouter::FanOutThreads(options_.ingest_threads, options_.num_shards);
   // One thread means "sequential": no pool workers, RunAll runs inline.
   pool_ = std::make_unique<WorkerPool>(threads > 1 ? threads : 0);
 
@@ -154,16 +127,12 @@ Status ShardedVault::SyncShardsWave() {
 
 Result<std::unique_ptr<Vault>> ShardedVault::OpenShard(uint32_t k) {
   // Independent key domains per shard: both the key-wrapping master
-  // and the entropy pool (DRBG, signer seed, index blinding) are
-  // HKDF-derived with the shard index in the info string.
+  // and the entropy pool are derived with the shard index.
   MEDVAULT_ASSIGN_OR_RETURN(
       std::string shard_master,
-      crypto::HkdfSha256(options_.master_key, Slice(),
-                         "medvault-shard-master-" + std::to_string(k), 32));
-  MEDVAULT_ASSIGN_OR_RETURN(
-      std::string shard_entropy,
-      crypto::HkdfSha256(options_.entropy, Slice(),
-                         "medvault-shard-entropy-" + std::to_string(k), 64));
+      ShardRouter::ShardMasterKey(options_.master_key, k));
+  MEDVAULT_ASSIGN_OR_RETURN(std::string shard_entropy,
+                            ShardRouter::ShardEntropy(options_.entropy, k));
 
   VaultOptions shard_options;
   shard_options.env = options_.env;
@@ -181,20 +150,6 @@ Result<std::unique_ptr<Vault>> ShardedVault::OpenShard(uint32_t k) {
   return Vault::Open(shard_options);
 }
 
-Result<Vault*> ShardedVault::RequireShard(uint32_t k) const {
-  std::shared_lock lock(shards_mu_);
-  Vault* s = shards_[k].get();
-  if (s != nullptr) return s;
-  return Status::FailedPrecondition(
-      "shard " + std::to_string(k) +
-      " is quarantined: " + quarantine_reasons_[k]);
-}
-
-bool ShardedVault::IsQuarantined(uint32_t k) const {
-  std::shared_lock lock(shards_mu_);
-  return shards_[k] == nullptr;
-}
-
 std::string ShardedVault::QuarantineReason(uint32_t k) const {
   std::shared_lock lock(shards_mu_);
   return quarantine_reasons_[k];
@@ -209,17 +164,9 @@ std::vector<uint32_t> ShardedVault::QuarantinedShards() const {
   return out;
 }
 
-std::string ShardedVault::ShardDirPath(uint32_t k) const {
-  return ShardRouter::ShardDir(options_.dir, k);
-}
-
 void ShardedVault::PublishQuarantineGauge() const {
-  std::shared_lock lock(shards_mu_);
-  int64_t quarantined = 0;
-  for (const auto& s : shards_) {
-    if (s == nullptr) quarantined++;
-  }
-  metrics_->GetGauge("sharded.quarantined")->Set(quarantined);
+  metrics_->GetGauge("sharded.quarantined")
+      ->Set(static_cast<int64_t>(QuarantinedShards().size()));
 }
 
 Result<ScrubReport> ShardedVault::ScrubShard(uint32_t k) {
@@ -262,59 +209,64 @@ Status ShardedVault::RejoinShard(uint32_t k) {
   return Status::OK();
 }
 
-Result<uint32_t> ShardedVault::RouteRecordId(const RecordId& record_id) const {
-  uint32_t shard = 0;
-  if (!ShardRouter::ShardOfRecordId(record_id, &shard) ||
-      shard >= num_shards()) {
-    return Status::NotFound("record not found: '" + record_id +
-                            "' does not name a shard of this vault");
+// ---------------------------------------------------------------------------
+// Routing
+// ---------------------------------------------------------------------------
+
+Result<uint32_t> ShardedVault::ShardIndex(const ByRecord& route) const {
+  uint32_t k = 0;
+  if (ShardRouter::ShardOfRecordId(route.id, &k) && k < num_shards()) {
+    return k;
   }
-  return shard;
+  return Status::NotFound("record not found: '" + route.id +
+                          "' does not name a shard of this vault");
+}
+
+Result<uint32_t> ShardedVault::ShardIndex(const ByPatient& route) const {
+  return router_.ShardOf(route.id);
+}
+
+Result<uint32_t> ShardedVault::ShardIndex(const ByConsent& route) const {
+  uint32_t k = 0;
+  if (ShardRouter::ShardOfConsentId(route.id, &k) && k < num_shards()) {
+    return k;
+  }
+  return Status::NotFound("no such consent grant: " + route.id);
+}
+
+Result<uint32_t> ShardedVault::ShardIndex(
+    const ByDisposalRequest& route) const {
+  // "s<k>:<the shard's own request id>", as RequestDisposal builds it.
+  const std::string& id = route.id;
+  const size_t colon = id.find(':');
+  uint32_t k = 0;
+  if (!id.empty() && id[0] == 's' && colon != std::string::npos) {
+    const char* end = id.data() + colon;
+    auto [ptr, ec] = std::from_chars(id.data() + 1, end, k);
+    if (ec == std::errc() && ptr == end && k < num_shards()) return k;
+  }
+  return Status::NotFound("unknown disposal request: " + id);
+}
+
+Result<uint32_t> ShardedVault::ShardIndex(FirstHealthy) const {
+  std::shared_lock lock(shards_mu_);
+  for (uint32_t k = 0; k < shards_.size(); ++k) {
+    if (shards_[k] != nullptr) return k;
+  }
+  return Status::FailedPrecondition("all shards quarantined");
+}
+
+Result<Vault*> ShardedVault::RequireShard(uint32_t k) const {
+  std::shared_lock lock(shards_mu_);
+  Vault* s = shards_[k].get();
+  if (s != nullptr) return s;
+  return Status::FailedPrecondition(
+      "shard " + std::to_string(k) +
+      " is quarantined: " + quarantine_reasons_[k]);
 }
 
 // ---------------------------------------------------------------------------
-// Administration
-// ---------------------------------------------------------------------------
-
-Status ShardedVault::RegisterPrincipal(const PrincipalId& actor,
-                                       const Principal& principal) {
-  // Replication must CONVERGE, not merely fan out: after a crash some
-  // shards may already hold the principal while others lost it, so a
-  // shard's AlreadyExists is success for that shard and the loop keeps
-  // going — otherwise the divergent shards could never be repaired.
-  // Quarantined shards are skipped; RejoinShard documents that admin
-  // state must be re-replicated after a repair.
-  for (uint32_t k = 0; k < num_shards(); ++k) {
-    Vault* s = shard(k);
-    if (s == nullptr) continue;
-    Status status = s->RegisterPrincipal(actor, principal);
-    if (!status.ok() && !status.IsAlreadyExists()) return status;
-  }
-  return Status::OK();
-}
-
-Status ShardedVault::AssignCare(const PrincipalId& actor,
-                                const PrincipalId& clinician,
-                                const PrincipalId& patient) {
-  for (uint32_t k = 0; k < num_shards(); ++k) {
-    Vault* s = shard(k);
-    if (s == nullptr) continue;
-    MEDVAULT_RETURN_IF_ERROR(s->AssignCare(actor, clinician, patient));
-  }
-  return Status::OK();
-}
-
-Result<std::string> ShardedVault::BreakGlass(const PrincipalId& clinician,
-                                             const PrincipalId& patient,
-                                             const std::string& justification,
-                                             Timestamp duration) {
-  MEDVAULT_ASSIGN_OR_RETURN(Vault * s,
-                            RequireShard(router_.ShardOf(patient)));
-  return s->BreakGlass(clinician, patient, justification, duration);
-}
-
-// ---------------------------------------------------------------------------
-// Patient-driven sharing
+// Operations that are more than one route
 // ---------------------------------------------------------------------------
 
 Result<ConsentGrant> ShardedVault::GrantConsent(const PrincipalId& actor,
@@ -325,62 +277,17 @@ Result<ConsentGrant> ShardedVault::GrantConsent(const PrincipalId& actor,
   // A grant lives on its granting patient's shard — the same shard as
   // every record it can cover (records are placed by patient id), so
   // the shard-local registry sees all relevant grants. A record-scoped
-  // grant id must agree with the actor's shard, or the registry could
+  // grant must name a record on that shard, or the registry could
   // never match it against a read routed by record id.
-  const uint32_t k = router_.ShardOf(actor);
-  if (!record_id.empty()) {
-    MEDVAULT_ASSIGN_OR_RETURN(uint32_t rk, RouteRecordId(record_id));
-    if (rk != k) {
+  auto grant = [&](Vault* s, uint32_t k) -> Result<ConsentGrant> {
+    if (k != router_.ShardOf(actor)) {
       return Status::PermissionDenied(
           "patients may share only their own records");
     }
-  }
-  MEDVAULT_ASSIGN_OR_RETURN(Vault * s, RequireShard(k));
-  return s->GrantConsent(actor, grantee, record_id, purpose, duration);
-}
-
-Status ShardedVault::RevokeConsent(const PrincipalId& actor,
-                                   const std::string& grant_id) {
-  // Grant ids embed their shard ("s<k>-cg-<n>") — route by id alone.
-  uint32_t k = 0;
-  if (!ShardRouter::ShardOfConsentId(grant_id, &k) || k >= num_shards()) {
-    return Status::NotFound("no such consent grant: " + grant_id);
-  }
-  MEDVAULT_ASSIGN_OR_RETURN(Vault * s, RequireShard(k));
-  return s->RevokeConsent(actor, grant_id);
-}
-
-Result<std::vector<ConsentGrant>> ShardedVault::ListConsents(
-    const PrincipalId& actor, const PrincipalId& patient) {
-  MEDVAULT_ASSIGN_OR_RETURN(Vault * s,
-                            RequireShard(router_.ShardOf(patient)));
-  return s->ListConsents(actor, patient);
-}
-
-size_t ShardedVault::ActiveConsentCount() const {
-  size_t total = 0;
-  for (uint32_t k = 0; k < num_shards(); ++k) {
-    const Vault* s = shard(k);
-    if (s == nullptr) continue;
-    total += s->ActiveConsentCount();
-  }
-  return total;
-}
-
-// ---------------------------------------------------------------------------
-// Record lifecycle
-// ---------------------------------------------------------------------------
-
-Result<RecordId> ShardedVault::CreateRecord(
-    const PrincipalId& actor, const PrincipalId& patient_id,
-    const std::string& content_type, const Slice& plaintext,
-    const std::vector<std::string>& keywords,
-    const std::string& retention_policy) {
-  obs::ScopedOpTimer timer(metrics_, op_metrics_.create, "sharded.create");
-  MEDVAULT_ASSIGN_OR_RETURN(Vault * s,
-                            RequireShard(router_.ShardOf(patient_id)));
-  return s->CreateRecord(actor, patient_id, content_type, plaintext, keywords,
-                         retention_policy);
+    return s->GrantConsent(actor, grantee, record_id, purpose, duration);
+  };
+  if (record_id.empty()) return OnShardOf(ByPatient{actor}, grant);
+  return OnShardOf(ByRecord{record_id}, grant);
 }
 
 Result<std::vector<RecordId>> ShardedVault::CreateRecordsBatch(
@@ -390,38 +297,39 @@ Result<std::vector<RecordId>> ShardedVault::CreateRecordsBatch(
   if (batch.empty()) {
     return Status::InvalidArgument("batch is empty");
   }
-  const uint32_t n = num_shards();
-  if (n == 1) {
-    MEDVAULT_ASSIGN_OR_RETURN(Vault * only, RequireShard(0));
-    return only->CreateRecordsBatch(actor, batch);
-  }
-
   // Partition by patient shard, remembering each item's original index
   // so the merged id vector lines up with the input order.
+  const uint32_t n = num_shards();
   std::vector<std::vector<size_t>> indices(n);
   for (size_t i = 0; i < batch.size(); ++i) {
     indices[router_.ShardOf(batch[i].patient_id)].push_back(i);
   }
 
-  std::vector<Status> statuses(n, Status::OK());
-  std::vector<std::vector<RecordId>> ids(n);
   // Refuse the whole batch up front if any involved shard is
   // quarantined: a partial cross-shard ingest that can never complete
   // is worse than a clean failure the caller can re-route.
   std::vector<Vault*> involved(n, nullptr);
   for (uint32_t k = 0; k < n; ++k) {
     if (indices[k].empty()) continue;
-    MEDVAULT_ASSIGN_OR_RETURN(involved[k], RequireShard(k));
+    MEDVAULT_RETURN_IF_ERROR(OnShardOf(k, [&](Vault* s) {
+      involved[k] = s;
+      return Status::OK();
+    }));
   }
+  std::vector<Status> statuses(n, Status::OK());
+  std::vector<std::vector<RecordId>> ids(n);
   TaskGroup group(pool_.get());
   for (uint32_t k = 0; k < n; ++k) {
     Vault* s = involved[k];
     if (s == nullptr) continue;
     group.Submit([s, &actor, &batch, &indices, &statuses, &ids, k] {
+      // A batch that lands on one shard goes through uncopied.
       std::vector<Vault::NewRecord> sub;
-      sub.reserve(indices[k].size());
-      for (size_t i : indices[k]) sub.push_back(batch[i]);
-      auto result = s->CreateRecordsBatch(actor, sub);
+      if (indices[k].size() != batch.size()) {
+        sub.reserve(indices[k].size());
+        for (size_t i : indices[k]) sub.push_back(batch[i]);
+      }
+      auto result = s->CreateRecordsBatch(actor, sub.empty() ? batch : sub);
       if (result.ok()) {
         ids[k] = std::move(*result);
       } else {
@@ -443,148 +351,6 @@ Result<std::vector<RecordId>> ShardedVault::CreateRecordsBatch(
   return merged;
 }
 
-Result<RecordVersion> ShardedVault::ReadRecord(const PrincipalId& actor,
-                                               const RecordId& record_id) {
-  obs::ScopedOpTimer timer(metrics_, op_metrics_.read, "sharded.read");
-  MEDVAULT_ASSIGN_OR_RETURN(uint32_t k, RouteRecordId(record_id));
-  MEDVAULT_ASSIGN_OR_RETURN(Vault * s, RequireShard(k));
-  return s->ReadRecord(actor, record_id);
-}
-
-Result<RecordVersion> ShardedVault::ReadRecordVersion(
-    const PrincipalId& actor, const RecordId& record_id, uint32_t version) {
-  obs::ScopedOpTimer timer(metrics_, op_metrics_.read, "sharded.read");
-  MEDVAULT_ASSIGN_OR_RETURN(uint32_t k, RouteRecordId(record_id));
-  MEDVAULT_ASSIGN_OR_RETURN(Vault * s, RequireShard(k));
-  return s->ReadRecordVersion(actor, record_id, version);
-}
-
-Result<VersionHeader> ShardedVault::CorrectRecord(
-    const PrincipalId& actor, const RecordId& record_id,
-    const Slice& new_plaintext, const std::string& reason,
-    const std::vector<std::string>& keywords) {
-  obs::ScopedOpTimer timer(metrics_, op_metrics_.correct, "sharded.correct");
-  MEDVAULT_ASSIGN_OR_RETURN(uint32_t k, RouteRecordId(record_id));
-  MEDVAULT_ASSIGN_OR_RETURN(Vault * s, RequireShard(k));
-  return s->CorrectRecord(actor, record_id, new_plaintext, reason, keywords);
-}
-
-Result<std::vector<RecordId>> ShardedVault::SearchKeyword(
-    const PrincipalId& actor, const std::string& term) {
-  obs::ScopedOpTimer timer(metrics_, op_metrics_.search, "sharded.search");
-  // Degraded semantics: quarantined shards are skipped, so results may
-  // be partial until every shard rejoins — the price of availability.
-  std::vector<RecordId> merged;
-  for (uint32_t k = 0; k < num_shards(); ++k) {
-    Vault* s = shard(k);
-    if (s == nullptr) continue;
-    MEDVAULT_ASSIGN_OR_RETURN(auto hits, s->SearchKeyword(actor, term));
-    merged.insert(merged.end(), hits.begin(), hits.end());
-  }
-  return merged;
-}
-
-Result<std::vector<RecordId>> ShardedVault::SearchKeywordsAll(
-    const PrincipalId& actor, const std::vector<std::string>& terms) {
-  obs::ScopedOpTimer timer(metrics_, op_metrics_.search, "sharded.search");
-  std::vector<RecordId> merged;
-  for (uint32_t k = 0; k < num_shards(); ++k) {
-    Vault* s = shard(k);
-    if (s == nullptr) continue;
-    MEDVAULT_ASSIGN_OR_RETURN(auto hits, s->SearchKeywordsAll(actor, terms));
-    merged.insert(merged.end(), hits.begin(), hits.end());
-  }
-  return merged;
-}
-
-Result<std::vector<VersionHeader>> ShardedVault::RecordHistory(
-    const PrincipalId& actor, const RecordId& record_id) {
-  MEDVAULT_ASSIGN_OR_RETURN(uint32_t k, RouteRecordId(record_id));
-  MEDVAULT_ASSIGN_OR_RETURN(Vault * s, RequireShard(k));
-  return s->RecordHistory(actor, record_id);
-}
-
-Result<DisposalCertificate> ShardedVault::DisposeRecord(
-    const PrincipalId& actor, const RecordId& record_id) {
-  obs::ScopedOpTimer timer(metrics_, op_metrics_.dispose, "sharded.dispose");
-  MEDVAULT_ASSIGN_OR_RETURN(uint32_t k, RouteRecordId(record_id));
-  MEDVAULT_ASSIGN_OR_RETURN(Vault * s, RequireShard(k));
-  return s->DisposeRecord(actor, record_id);
-}
-
-Result<std::vector<RecordMeta>> ShardedVault::ListExpiredRecords(
-    const PrincipalId& actor) {
-  std::vector<RecordMeta> merged;
-  for (uint32_t k = 0; k < num_shards(); ++k) {
-    Vault* s = shard(k);
-    if (s == nullptr) continue;
-    MEDVAULT_ASSIGN_OR_RETURN(auto expired, s->ListExpiredRecords(actor));
-    merged.insert(merged.end(), std::make_move_iterator(expired.begin()),
-                  std::make_move_iterator(expired.end()));
-  }
-  return merged;
-}
-
-Result<int> ShardedVault::ReclaimDisposedMedia(const PrincipalId& actor) {
-  int total = 0;
-  for (uint32_t k = 0; k < num_shards(); ++k) {
-    Vault* s = shard(k);
-    if (s == nullptr) continue;
-    MEDVAULT_ASSIGN_OR_RETURN(int reclaimed, s->ReclaimDisposedMedia(actor));
-    total += reclaimed;
-  }
-  return total;
-}
-
-Status ShardedVault::PlaceLegalHold(const PrincipalId& actor,
-                                    const RecordId& record_id,
-                                    const std::string& reason) {
-  MEDVAULT_ASSIGN_OR_RETURN(uint32_t k, RouteRecordId(record_id));
-  MEDVAULT_ASSIGN_OR_RETURN(Vault * s, RequireShard(k));
-  return s->PlaceLegalHold(actor, record_id, reason);
-}
-
-Status ShardedVault::ReleaseLegalHold(const PrincipalId& actor,
-                                      const RecordId& record_id,
-                                      const std::string& reason) {
-  MEDVAULT_ASSIGN_OR_RETURN(uint32_t k, RouteRecordId(record_id));
-  MEDVAULT_ASSIGN_OR_RETURN(Vault * s, RequireShard(k));
-  return s->ReleaseLegalHold(actor, record_id, reason);
-}
-
-Result<std::string> ShardedVault::RequestDisposal(const PrincipalId& actor,
-                                                  const RecordId& record_id) {
-  MEDVAULT_ASSIGN_OR_RETURN(uint32_t shard, RouteRecordId(record_id));
-  MEDVAULT_ASSIGN_OR_RETURN(Vault * s, RequireShard(shard));
-  MEDVAULT_ASSIGN_OR_RETURN(std::string request_id,
-                            s->RequestDisposal(actor, record_id));
-  std::string qualified = "s";
-  qualified += std::to_string(shard);
-  qualified += ":";
-  qualified += request_id;
-  return qualified;
-}
-
-Result<DisposalCertificate> ShardedVault::ApproveDisposal(
-    const PrincipalId& actor, const std::string& request_id) {
-  if (request_id.empty() || request_id[0] != 's') {
-    return Status::NotFound("unknown disposal request: " + request_id);
-  }
-  size_t colon = request_id.find(':');
-  if (colon == std::string::npos) {
-    return Status::NotFound("unknown disposal request: " + request_id);
-  }
-  uint32_t shard = 0;
-  const char* begin = request_id.data() + 1;
-  const char* end = request_id.data() + colon;
-  auto [ptr, ec] = std::from_chars(begin, end, shard);
-  if (ec != std::errc() || ptr != end || shard >= num_shards()) {
-    return Status::NotFound("unknown disposal request: " + request_id);
-  }
-  MEDVAULT_ASSIGN_OR_RETURN(Vault * s, RequireShard(shard));
-  return s->ApproveDisposal(actor, request_id.substr(colon + 1));
-}
-
 Status ShardedVault::SyncAll() {
   obs::ScopedOpTimer timer(metrics_, op_metrics_.sync, "sharded.sync");
   return committer_->Commit();
@@ -600,129 +366,13 @@ Result<std::vector<RecordId>> ShardedVault::CreateRecordsBatchDurable(
   return ids;
 }
 
-// ---------------------------------------------------------------------------
-// Audit & custody
-// ---------------------------------------------------------------------------
-
-Result<std::vector<SignedCheckpoint>> ShardedVault::CheckpointAudit() {
-  std::vector<SignedCheckpoint> checkpoints;
-  checkpoints.reserve(num_shards());
-  for (uint32_t k = 0; k < num_shards(); ++k) {
-    Vault* s = shard(k);
-    if (s == nullptr) continue;
-    MEDVAULT_ASSIGN_OR_RETURN(auto checkpoint, s->CheckpointAudit());
-    checkpoints.push_back(std::move(checkpoint));
-  }
-  return checkpoints;
-}
-
-Status ShardedVault::VerifyAudit() const {
-  obs::ScopedOpTimer timer(metrics_, op_metrics_.verify, "sharded.verify");
-  for (uint32_t k = 0; k < num_shards(); ++k) {
-    const Vault* s = shard(k);
-    if (s == nullptr) continue;
-    MEDVAULT_RETURN_IF_ERROR(s->VerifyAudit());
-  }
-  return Status::OK();
-}
-
-Result<std::vector<AuditEvent>> ShardedVault::ReadAuditTrail(
-    const PrincipalId& actor, const RecordId& record_id) {
-  if (!record_id.empty()) {
-    MEDVAULT_ASSIGN_OR_RETURN(uint32_t k, RouteRecordId(record_id));
-    MEDVAULT_ASSIGN_OR_RETURN(Vault * s, RequireShard(k));
-    return s->ReadAuditTrail(actor, record_id);
-  }
-  std::vector<AuditEvent> merged;
-  for (uint32_t k = 0; k < num_shards(); ++k) {
-    Vault* s = shard(k);
-    if (s == nullptr) continue;
-    MEDVAULT_ASSIGN_OR_RETURN(auto events,
-                              s->ReadAuditTrail(actor, record_id));
-    merged.insert(merged.end(), std::make_move_iterator(events.begin()),
-                  std::make_move_iterator(events.end()));
-  }
-  return merged;
-}
-
-Result<std::vector<CustodyEvent>> ShardedVault::GetCustodyChain(
-    const PrincipalId& actor, const RecordId& record_id) {
-  MEDVAULT_ASSIGN_OR_RETURN(uint32_t k, RouteRecordId(record_id));
-  MEDVAULT_ASSIGN_OR_RETURN(Vault * s, RequireShard(k));
-  return s->GetCustodyChain(actor, record_id);
-}
-
-Result<std::vector<AuditEvent>> ShardedVault::AccountingOfDisclosures(
-    const PrincipalId& actor, const PrincipalId& patient_id) {
-  MEDVAULT_ASSIGN_OR_RETURN(Vault * s,
-                            RequireShard(router_.ShardOf(patient_id)));
-  return s->AccountingOfDisclosures(actor, patient_id);
-}
-
-Result<std::vector<AuditEvent>> ShardedVault::ListBreakGlassEvents(
-    const PrincipalId& actor) {
-  std::vector<AuditEvent> merged;
-  for (uint32_t k = 0; k < num_shards(); ++k) {
-    Vault* s = shard(k);
-    if (s == nullptr) continue;
-    MEDVAULT_ASSIGN_OR_RETURN(auto events, s->ListBreakGlassEvents(actor));
-    merged.insert(merged.end(), std::make_move_iterator(events.begin()),
-                  std::make_move_iterator(events.end()));
-  }
-  return merged;
-}
-
-// ---------------------------------------------------------------------------
-// Verification & introspection
-// ---------------------------------------------------------------------------
-
-Status ShardedVault::VerifyRecord(const RecordId& record_id) const {
-  MEDVAULT_ASSIGN_OR_RETURN(uint32_t k, RouteRecordId(record_id));
-  MEDVAULT_ASSIGN_OR_RETURN(Vault * s, RequireShard(k));
-  return s->VerifyRecord(record_id);
-}
-
-Status ShardedVault::VerifyEverything() const {
-  obs::ScopedOpTimer timer(metrics_, op_metrics_.verify, "sharded.verify");
-  // Verifies what is serving: quarantined shards are skipped (their
-  // damage is already known and tracked; verify them via ScrubShard).
-  for (uint32_t k = 0; k < num_shards(); ++k) {
-    const Vault* s = shard(k);
-    if (s == nullptr) continue;
-    MEDVAULT_RETURN_IF_ERROR(s->VerifyEverything());
-  }
-  return Status::OK();
-}
-
 std::string ShardedVault::ContentRoot() const {
   // NOTE: quarantined shards contribute nothing, so a degraded root is
   // only comparable against another vault with the same quarantine set.
   crypto::MerkleTree tree(/*memoize=*/false);
-  for (uint32_t k = 0; k < num_shards(); ++k) {
-    const Vault* s = shard(k);
-    if (s == nullptr) continue;
-    tree.Append(s->ContentRoot());
-  }
+  OnEveryShard([](Vault* s) { return s->ContentRoot(); },
+               [&](const std::string& root) { tree.Append(root); });
   return tree.Root();
-}
-
-Result<RecordMeta> ShardedVault::GetRecordMeta(
-    const RecordId& record_id) const {
-  MEDVAULT_ASSIGN_OR_RETURN(uint32_t k, RouteRecordId(record_id));
-  MEDVAULT_ASSIGN_OR_RETURN(Vault * s, RequireShard(k));
-  return s->GetRecordMeta(record_id);
-}
-
-std::vector<RecordId> ShardedVault::ListRecordIds() const {
-  std::vector<RecordId> merged;
-  for (uint32_t k = 0; k < num_shards(); ++k) {
-    const Vault* s = shard(k);
-    if (s == nullptr) continue;
-    auto ids = s->ListRecordIds();
-    merged.insert(merged.end(), std::make_move_iterator(ids.begin()),
-                  std::make_move_iterator(ids.end()));
-  }
-  return merged;
 }
 
 Status ShardedVault::RotateMasterKey(const PrincipalId& actor,
@@ -730,23 +380,17 @@ Status ShardedVault::RotateMasterKey(const PrincipalId& actor,
   if (new_master_key.size() != 32) {
     return Status::InvalidArgument("master key must be 32 bytes");
   }
-  // Rotation must reach EVERY shard or none: a quarantined shard would
-  // silently stay on the old master and fail to open after rejoin, so
-  // RequireShard turns that into an up-front refusal.
-  for (uint32_t k = 0; k < num_shards(); ++k) {
-    MEDVAULT_ASSIGN_OR_RETURN(Vault * s, RequireShard(k));
-    MEDVAULT_ASSIGN_OR_RETURN(
-        std::string shard_master,
-        crypto::HkdfSha256(new_master_key, Slice(),
-                           "medvault-shard-master-" + std::to_string(k), 32));
-    MEDVAULT_RETURN_IF_ERROR(s->RotateMasterKey(actor, shard_master));
-  }
-  return Status::OK();
-}
-
-RecordCache::Stats ShardedVault::CacheStats() const {
-  if (cache_ == nullptr) return RecordCache::Stats{};
-  return cache_->stats();
+  // Rotation must reach EVERY shard: a quarantined shard would silently
+  // stay on the old master and fail to open after rejoin, so it turns
+  // into an up-front refusal before any shard rotates.
+  return OnEveryShard(
+      [&](Vault* s, uint32_t k) -> Status {
+        MEDVAULT_ASSIGN_OR_RETURN(
+            std::string shard_master,
+            ShardRouter::ShardMasterKey(new_master_key, k));
+        return s->RotateMasterKey(actor, shard_master);
+      },
+      Discard{}, Quarantined::kRefuse);
 }
 
 }  // namespace medvault::core

@@ -282,21 +282,20 @@ Result<ConsistencyBundle> TransparencyLog::ConsistencyBetween(
 
 ShardedTransparencyService::ShardedTransparencyService(ShardedVault* vault,
                                                        Options options)
-    : vault_(vault), options_(options), logs_(vault->num_shards()) {}
+    : vault_(vault), options_(options), logs_(vault) {}
 
 Result<TransparencyLog*> ShardedTransparencyService::LogLocked(uint32_t k) {
-  if (logs_[k] != nullptr) return logs_[k].get();
-  Vault* shard = vault_->shard(k);
-  if (shard == nullptr) return nullptr;  // quarantined
-  TransparencyLog::Options log_options;
-  log_options.checkpoint_interval = options_.checkpoint_interval;
-  log_options.proof_cache_entries = options_.proof_cache_entries;
-  auto log = std::make_unique<TransparencyLog>(shard, log_options);
-  for (const WitnessSeeds& seeds : witness_seeds_) {
-    MEDVAULT_RETURN_IF_ERROR(AttachWitnessLocked(k, log.get(), seeds));
-  }
-  logs_[k] = std::move(log);
-  return logs_[k].get();
+  return logs_.Get(
+      k, [&](Vault* shard) -> Result<std::unique_ptr<TransparencyLog>> {
+        TransparencyLog::Options log_options;
+        log_options.checkpoint_interval = options_.checkpoint_interval;
+        log_options.proof_cache_entries = options_.proof_cache_entries;
+        auto log = std::make_unique<TransparencyLog>(shard, log_options);
+        for (const WitnessSeeds& seeds : witness_seeds_) {
+          MEDVAULT_RETURN_IF_ERROR(AttachWitnessLocked(k, log.get(), seeds));
+        }
+        return log;
+      });
 }
 
 Result<TransparencyLog*> ShardedTransparencyService::Log(uint32_t k) {
@@ -415,7 +414,7 @@ ShardedTransparencyService::Stats ShardedTransparencyService::CollectStats()
   for (const auto& w : witnesses_) {
     if (w->tampered()) stats.tampered_witnesses++;
   }
-  for (const auto& log : logs_) {
+  for (const auto& log : logs_.built()) {
     if (log == nullptr) continue;
     Result<CosignedCheckpoint> latest = log->LatestCosigned();
     if (latest.ok()) stats.latest_sizes_sum += latest->checkpoint.tree_size;

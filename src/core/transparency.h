@@ -317,7 +317,7 @@ class ShardedTransparencyService {
   /// Guards the slots of logs_, witnesses_ and witness_seeds_. A
   /// created log is never replaced, so its pointer is used unlocked.
   mutable std::mutex mu_;
-  std::vector<std::unique_ptr<TransparencyLog>> logs_;  // per shard
+  PerShard<TransparencyLog> logs_;
   std::vector<std::unique_ptr<Witness>> witnesses_;     // owned
   std::vector<WitnessSeeds> witness_seeds_;
 };

@@ -5,6 +5,7 @@
 
 #include "common/coding.h"
 #include "common/hex.h"
+#include "core/shard_router.h"
 #include "crypto/aes.h"
 #include "crypto/hkdf.h"
 #include "crypto/hmac.h"
@@ -242,6 +243,8 @@ Result<std::unique_ptr<Vault>> Vault::Open(const VaultOptions& options) {
   if (options.record_id_prefix.empty()) {
     return Status::InvalidArgument("record id prefix must not be empty");
   }
+  MEDVAULT_RETURN_IF_ERROR(
+      ShardRouter::RefusePlainVaultAt(options.env, options.dir));
   std::unique_ptr<Vault> vault(new Vault(options));
   MEDVAULT_RETURN_IF_ERROR(vault->Init());
   return vault;

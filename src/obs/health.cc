@@ -226,22 +226,6 @@ json::Value HealthReport::ToJson() const {
   return json::Value(std::move(out));
 }
 
-HealthReport CollectHealth(core::Vault& vault, const storage::IoStats* io) {
-  HealthReport report;
-  report.generated_at = vault.Now();
-  if (vault.metrics_registry() != nullptr) {
-    report.metrics = vault.metrics_registry()->TakeSnapshot();
-  }
-  if (io != nullptr) {
-    report.has_env_io = true;
-    report.env_io = io->TakeSnapshot();
-  }
-  FillCache(&report, vault.options().cache);
-  FillConsent(&report, vault.ActiveConsentCount());
-  report.shards.push_back(FromVaultStats(0, vault));
-  return report;
-}
-
 HealthReport CollectHealth(core::ShardedVault& vault,
                            const storage::IoStats* io) {
   HealthReport report;

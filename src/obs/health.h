@@ -12,7 +12,6 @@
 #include "storage/instrumented_env.h"
 
 namespace medvault::core {
-class Vault;
 class ShardedVault;
 class ShardedReplicationSource;
 class ShardedReplicaApplier;
@@ -117,14 +116,9 @@ struct HealthReport {
   uint64_t CommitOps() const;
 };
 
-/// Health of one standalone vault: its registry's metrics, its cache
-/// (when configured), and a single ShardHealth entry (shard 0).
-/// Pass `io` when the vault's Env is wrapped in an InstrumentedEnv.
-HealthReport CollectHealth(core::Vault& vault,
-                           const storage::IoStats* io = nullptr);
-
-/// Health of a sharded vault: shared-registry metrics, the shared read
-/// cache, and one ShardHealth per shard.
+/// Health of a vault: shared-registry metrics, the shared read cache,
+/// and one ShardHealth per shard. Pass `io` when the vault's Env is
+/// wrapped in an InstrumentedEnv.
 HealthReport CollectHealth(core::ShardedVault& vault,
                            const storage::IoStats* io = nullptr);
 

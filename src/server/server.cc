@@ -250,22 +250,9 @@ MedVaultServer::MedVaultServer(core::ShardedVault* vault,
 
 MedVaultServer::~MedVaultServer() { Stop(); }
 
-core::Vault* MedVaultServer::AnyShard() const {
-  for (uint32_t k = 0; k < vault_->num_shards(); ++k) {
-    if (core::Vault* shard = vault_->shard(k)) return shard;
-  }
-  return nullptr;
-}
-
 Status MedVaultServer::Init() {
-  const Clock* clock = options_.clock;
-  if (clock == nullptr) {
-    core::Vault* shard = AnyShard();
-    if (shard == nullptr) {
-      return Status::FailedPrecondition("all shards quarantined");
-    }
-    clock = shard->options().clock;
-  }
+  const Clock* clock =
+      options_.clock != nullptr ? options_.clock : vault_->options().clock;
   sessions_ = std::make_unique<SessionManager>(
       options_.session_entropy, clock, options_.session_ttl_micros);
   admission_ =
@@ -663,11 +650,10 @@ HttpResponse MedVaultServer::HandleLogin(const HttpRequest& request) {
             crypto::ConstantTimeEqual(*secret, options_.api_secret);
   core::Principal who;
   if (ok) {
-    core::Vault* shard = AnyShard();
-    if (shard == nullptr) {
-      return ErrorResponse(503, "all shards quarantined");
+    Result<core::Principal> found = vault_->GetPrincipal(*principal);
+    if (found.status().IsFailedPrecondition()) {
+      return ErrorFromStatus(found.status());  // every shard quarantined
     }
-    Result<core::Principal> found = shard->access()->GetPrincipal(*principal);
     if (!found.ok()) {
       ok = false;
     } else {
@@ -837,15 +823,8 @@ HttpResponse MedVaultServer::HandleAuditTrail(const core::PrincipalId& actor) {
 }
 
 HttpResponse MedVaultServer::HandleCheckpoint(const core::PrincipalId& actor) {
-  // Checkpointing is an auditor/admin act; the vault has no per-shard
-  // access gate for it, so enforce the kReadAudit role here. (This
-  // replaces an earlier gate that materialized the entire merged audit
-  // trail just to learn "yes/no".)
-  core::Vault* shard = AnyShard();
-  if (shard == nullptr) {
-    return ErrorResponse(503, "all shards quarantined");
-  }
-  Status gate = shard->CheckAuditAccess(actor);
+  // Checkpointing is an auditor/admin act: gate it on kReadAudit.
+  Status gate = vault_->CheckAuditAccess(actor);
   if (!gate.ok()) return ErrorFromStatus(gate);
 
   Result<std::vector<core::SignedCheckpoint>> checkpoints =
@@ -1083,9 +1062,7 @@ HttpResponse MedVaultServer::HandleTransparencyProof(
   // events about themselves — their own actions, or disclosures of
   // their own records; everyone else needs audit-read privileges
   // (checked and audited by the shard, denial included).
-  core::Vault* any = AnyShard();
-  if (any == nullptr) return ErrorResponse(503, "all shards quarantined");
-  Result<core::Principal> who = any->access()->GetPrincipal(actor);
+  Result<core::Principal> who = vault_->GetPrincipal(actor);
   if (!who.ok()) return ErrorFromStatus(who.status());
   bool own_event = false;
   if (who->role == core::Role::kPatient) {

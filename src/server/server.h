@@ -130,9 +130,6 @@ class MedVaultServer {
   void WorkerLoop();
   void ServeConnection(const AdmissionController::Ticket& ticket);
 
-  /// First healthy shard (principals are replicated to every shard);
-  /// null only when ALL shards are quarantined.
-  core::Vault* AnyShard() const;
   /// Group-committed durability barrier after a mutation (no-op when
   /// durable_writes is off).
   Status CommitIfDurable();

@@ -13,6 +13,7 @@
 
 #include "common/clock.h"
 #include "core/record_cache.h"
+#include "core/sharded_vault.h"
 #include "core/vault.h"
 #include "obs/health.h"
 #include "obs/json.h"
@@ -397,18 +398,17 @@ TEST(HealthReportTest, CollectHealthFromLiveVault) {
   storage::InstrumentedEnv env(&base, &io);
   ManualClock clock(1000000);
   MetricsRegistry registry;
-  core::RecordCache cache(1 << 20);
 
-  core::VaultOptions options;
+  core::ShardedVaultOptions options;
   options.env = &env;
   options.dir = "vault";
   options.clock = &clock;
   options.master_key = std::string(32, 'M');
   options.entropy = "obs-test-entropy";
   options.signer_height = 4;
-  options.cache = &cache;
+  options.cache_bytes = 1 << 20;
   options.metrics = &registry;
-  auto vault = core::Vault::Open(options);
+  auto vault = core::ShardedVault::Open(options);
   ASSERT_TRUE(vault.ok()) << vault.status().ToString();
 
   ASSERT_TRUE((*vault)
@@ -454,13 +454,14 @@ TEST(HealthReportTest, CollectHealthFromLiveVault) {
 
   // More work, new snapshot: strictly more reads recorded.
   ASSERT_TRUE((*vault)->ReadRecord("dr", *id).ok());
-  const uint64_t commits = report.CommitOps();
   ASSERT_TRUE((*vault)->SyncAll().ok());
   HealthReport later = CollectHealth(**vault, &io);
   EXPECT_EQ(later.metrics.histograms.at("vault.read").count, 3u);
-  // A standalone vault has no group committer: its SyncAll count is
-  // the denominator of fsyncs_per_op_milli.
-  ASSERT_EQ(later.CommitOps(), commits + 1);
+  // Once the group committer has run, its op count (not the shards'
+  // SyncAll count) is the denominator of fsyncs_per_op_milli.
+  ASSERT_EQ(later.CommitOps(),
+            later.metrics.counters.at("commit.window.sharded.ops"));
+  ASSERT_GT(later.CommitOps(), 0u);
   EXPECT_NE(later.Dump().find("\"fsyncs_per_op_milli\":" +
                               std::to_string(later.env_io.syncs * 1000 /
                                              later.CommitOps())),

@@ -169,5 +169,72 @@ TEST(ShardRouterTest, PlacementSurvivesVaultReopen) {
   }
 }
 
+// Every file under `dir` (any depth) with its bytes.
+std::map<std::string, std::string> Listing(storage::Env* env,
+                                           const std::string& dir) {
+  std::map<std::string, std::string> out;
+  std::vector<std::string> children;
+  if (!env->GetChildren(dir, &children).ok()) return out;
+  for (const std::string& child : children) {
+    const std::string path = dir + "/" + child;
+    std::string bytes;
+    if (storage::ReadFileToString(env, path, &bytes).ok()) out[path] = bytes;
+    out.merge(Listing(env, path));
+  }
+  return out;
+}
+
+VaultOptions PlainOptions(storage::Env* env, const Clock* clock,
+                          const std::string& dir) {
+  VaultOptions options;
+  options.env = env;
+  options.dir = dir;
+  options.clock = clock;
+  options.master_key = std::string(32, 'M');
+  options.entropy = "router-test-entropy";
+  options.signer_height = 4;
+  return options;
+}
+
+TEST(ShardRouterTest, ShardedOpenRefusesPlainVaultDirectory) {
+  storage::MemEnv env;
+  ManualClock clock{1000000};
+  {
+    auto plain = Vault::Open(PlainOptions(&env, &clock, "sharded"));
+    ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+    ASSERT_TRUE(
+        (*plain)->RegisterPrincipal("boot", {"admin-r", Role::kAdmin, "R"})
+            .ok());
+  }
+  const auto before = Listing(&env, "sharded");
+  ASSERT_TRUE(before.count("sharded/state.log"));
+
+  auto sharded = ShardedVault::Open(BaseOptions(&env, &clock, 2));
+  ASSERT_FALSE(sharded.ok());
+  EXPECT_TRUE(sharded.status().IsFailedPrecondition())
+      << sharded.status().ToString();
+  EXPECT_EQ(Listing(&env, "sharded"), before);
+}
+
+TEST(ShardRouterTest, PlainOpenRefusesShardedRoot) {
+  storage::MemEnv env;
+  ManualClock clock{1000000};
+  {
+    auto sharded = ShardedVault::Open(BaseOptions(&env, &clock, 2));
+    ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+    ASSERT_TRUE(
+        (*sharded)->RegisterPrincipal("boot", {"admin-r", Role::kAdmin, "R"})
+            .ok());
+  }
+  const auto before = Listing(&env, "sharded");
+  ASSERT_TRUE(before.count("sharded/shards.meta"));
+
+  auto plain = Vault::Open(PlainOptions(&env, &clock, "sharded"));
+  ASSERT_FALSE(plain.ok());
+  EXPECT_TRUE(plain.status().IsFailedPrecondition())
+      << plain.status().ToString();
+  EXPECT_EQ(Listing(&env, "sharded"), before);
+}
+
 }  // namespace
 }  // namespace medvault::core

@@ -14,6 +14,7 @@
 #include "core/migration.h"
 #include "core/shard_router.h"
 #include "core/sharded_vault.h"
+#include "storage/env.h"
 #include "storage/mem_env.h"
 
 namespace medvault::core {
@@ -341,6 +342,95 @@ TEST_F(ShardedVaultTest, MigrateShardedRefusesMismatchedCounts) {
       Migrator::MigrateSharded(vault_.get(), target->get(), "admin-r");
   ASSERT_FALSE(receipts.ok());
   EXPECT_TRUE(receipts.status().IsInvalidArgument());
+}
+
+TEST_F(ShardedVaultTest, CareLivesOnlyOnThePatientsShard) {
+  // Care is only ever checked against a record's own patient, and a
+  // record lives on its patient's shard, so that is the one place the
+  // relation is written.
+  ASSERT_TRUE(vault_
+                  ->RegisterPrincipal("admin-r",
+                                      {"dr-c", Role::kPhysician, "Dr C"})
+                  .ok());
+  const std::string patient = Patient(0);
+  const uint32_t home = vault_->router().ShardOf(patient);
+  std::string stranger;  // a patient on another shard
+  for (int p = 1; p < 16 && stranger.empty(); ++p) {
+    if (vault_->router().ShardOf(Patient(p)) != home) stranger = Patient(p);
+  }
+  ASSERT_FALSE(stranger.empty());
+  ASSERT_TRUE(vault_->AssignCare("admin-r", "dr-c", patient).ok());
+
+  int assign_events = 0;
+  for (uint32_t k = 0; k < kShards; ++k) {
+    EXPECT_EQ(vault_->shard(k)->access()->InCare("dr-c", patient), k == home)
+        << "shard " << k;
+    for (const AuditEvent& e : vault_->shard(k)->audit()->SnapshotEvents()) {
+      if (e.details == "assign-care dr-c -> " + patient) assign_events++;
+    }
+  }
+  EXPECT_EQ(assign_events, 1);
+
+  auto own = vault_->CreateRecord("dr-c", patient, "text/plain", "seen",
+                                  {"carekw"}, "hipaa-6y");
+  ASSERT_TRUE(own.ok()) << own.status().ToString();
+  auto other = vault_->CreateRecord("dr-a", stranger, "text/plain",
+                                    "not yours", {"carekw"}, "hipaa-6y");
+  ASSERT_TRUE(other.ok()) << other.status().ToString();
+  EXPECT_TRUE(vault_->ReadRecord("dr-c", *own).ok());
+  EXPECT_TRUE(
+      vault_->ReadRecord("dr-c", *other).status().IsPermissionDenied());
+  auto hits = vault_->SearchKeyword("dr-c", "carekw");
+  ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+  EXPECT_EQ(*hits, std::vector<RecordId>{*own});
+}
+
+TEST_F(ShardedVaultTest, MigrateShardedRefusesQuarantinedShardUntouched) {
+  for (int p = 0; p < 16; ++p) {
+    ASSERT_TRUE(vault_
+                    ->CreateRecord("dr-a", Patient(p), "text/plain", "note",
+                                   {}, "hipaa-6y")
+                    .ok());
+  }
+  ASSERT_TRUE(vault_->SyncAll().ok());
+  const uint32_t sick = vault_->router().ShardOf(Patient(0));
+  const std::string state_log = vault_->ShardDirPath(sick) + "/state.log";
+  vault_.reset();
+  std::string data;
+  ASSERT_TRUE(storage::ReadFileToString(&env_, state_log, &data).ok());
+  const char flipped = static_cast<char>(data[10] ^ 0x40);
+  ASSERT_TRUE(env_.UnsafeOverwrite(state_log, 10, Slice(&flipped, 1)).ok());
+
+  ShardedVaultOptions degraded = Options("sharded");
+  degraded.open_mode = OpenMode::kDegraded;
+  auto source = ShardedVault::Open(degraded);
+  ASSERT_TRUE(source.ok()) << source.status().ToString();
+  ASSERT_TRUE((*source)->IsQuarantined(sick));
+
+  auto target_opened =
+      ShardedVault::Open(Options("sharded-target", "target-entropy"));
+  ASSERT_TRUE(target_opened.ok());
+  auto target = std::move(*target_opened);
+  Bootstrap(target.get());
+  std::vector<uint64_t> audit_sizes;
+  for (uint32_t k = 0; k < kShards; ++k) {
+    audit_sizes.push_back(target->shard(k)->audit()->size());
+  }
+  const std::string root = target->ContentRoot();
+
+  auto receipts =
+      Migrator::MigrateSharded(source->get(), target.get(), "admin-r");
+  ASSERT_FALSE(receipts.ok());
+  EXPECT_TRUE(receipts.status().IsFailedPrecondition());
+  EXPECT_NE(receipts.status().message().find(std::to_string(sick)),
+            std::string::npos);
+  // Refused before any shard moved: the target holds nothing new and
+  // no shard audited a migration attempt.
+  EXPECT_TRUE(target->ListRecordIds().empty());
+  EXPECT_EQ(target->ContentRoot(), root);
+  for (uint32_t k = 0; k < kShards; ++k) {
+    EXPECT_EQ(target->shard(k)->audit()->size(), audit_sizes[k]) << k;
+  }
 }
 
 }  // namespace

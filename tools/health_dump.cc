@@ -13,9 +13,12 @@
 //   health_dump <vault-dir>
 //       Opens an existing on-disk vault read-only-ish (Open replays the
 //       state log but performs no workload) and prints its health. The
-//       master key / entropy come from MEDVAULT_MASTER_KEY /
-//       MEDVAULT_ENTROPY, same convention as medvault_cli (the key is
-//       padded/truncated to 32 bytes; demo-grade custody only).
+//       shard count comes from the vault's shards.meta (1 for a fresh
+//       directory); the master key / entropy come from
+//       MEDVAULT_MASTER_KEY / MEDVAULT_ENTROPY, same convention as
+//       medvault_cli (the key is padded/truncated to 32 bytes;
+//       demo-grade custody only). A plain pre-sharding vault directory
+//       is refused rather than opened as a new, empty vault.
 //
 // All vault I/O in both modes goes through an InstrumentedEnv, so the
 // env_io section reflects the physical reads/writes the dump itself
@@ -27,8 +30,7 @@
 #include <vector>
 
 #include "common/clock.h"
-#include "core/record_cache.h"
-#include "core/vault.h"
+#include "core/sharded_vault.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
 #include "storage/instrumented_env.h"
@@ -38,8 +40,9 @@ namespace {
 
 using medvault::Status;
 using medvault::core::Role;
-using medvault::core::Vault;
-using medvault::core::VaultOptions;
+using medvault::core::ShardedVault;
+using medvault::core::ShardedVaultOptions;
+using medvault::core::ShardRouter;
 
 std::string EnvOr(const char* name, const std::string& fallback) {
   const char* v = std::getenv(name);
@@ -51,7 +54,7 @@ int Fail(const Status& status) {
   return 1;
 }
 
-int DumpVault(Vault* vault, const medvault::storage::IoStats* io) {
+int DumpVault(ShardedVault* vault, const medvault::storage::IoStats* io) {
   medvault::obs::HealthReport report =
       medvault::obs::CollectHealth(*vault, io);
   printf("%s\n", report.Dump().c_str());
@@ -60,19 +63,13 @@ int DumpVault(Vault* vault, const medvault::storage::IoStats* io) {
 
 // Demo mode: a self-contained vault with enough workload that the ops,
 // cache, env_io, shards, and last_scrub sections are all non-trivial.
-// The demo dir is wiped first (vault files plus the segments/ subdir)
-// so reruns start from the same state instead of replaying and growing
-// an old vault.
-void WipeFlatDir(medvault::storage::Env* env, const std::string& dir) {
+// Every file under the demo dir is removed first so reruns start from
+// the same state instead of replaying and growing an old vault.
+void WipeFiles(medvault::storage::Env* env, const std::string& dir) {
   std::vector<std::string> children;
   if (!env->GetChildren(dir, &children).ok()) return;
   for (const std::string& child : children) {
-    std::vector<std::string> nested;
-    if (env->GetChildren(dir + "/" + child, &nested).ok() && !nested.empty()) {
-      for (const std::string& inner : nested) {
-        (void)env->RemoveFile(dir + "/" + child + "/" + inner);
-      }
-    }
+    WipeFiles(env, dir + "/" + child);
     (void)env->RemoveFile(dir + "/" + child);
   }
 }
@@ -83,22 +80,21 @@ int RunDemo(const std::string& dir) {
   medvault::storage::InstrumentedEnv env(
       medvault::storage::PosixEnv::Default(), &io);
   medvault::ManualClock clock(1700000000000000);  // fixed epoch, micros
-  medvault::core::RecordCache cache(1u << 20);
-  WipeFlatDir(&env, dir);
+  WipeFiles(&env, dir);
 
-  VaultOptions options;
+  ShardedVaultOptions options;
   options.env = &env;
   options.dir = dir;
   options.clock = &clock;
   options.master_key = std::string(32, 'K');
   options.entropy = "health-dump-demo-entropy";
-  options.signer_height = 8;  // 256 leaves: safe to rerun in place
-  options.cache = &cache;
+  options.signer_height = 8;
+  options.cache_bytes = 1u << 20;
   options.metrics = &registry;
 
-  auto opened = Vault::Open(options);
+  auto opened = ShardedVault::Open(options);
   if (!opened.ok()) return Fail(opened.status());
-  Vault* vault = opened->get();
+  ShardedVault* vault = opened->get();
 
   (void)vault->RegisterPrincipal("boot", {"admin", Role::kAdmin, "Admin"});
   (void)vault->RegisterPrincipal("admin", {"dr", Role::kPhysician, "Dr"});
@@ -121,7 +117,7 @@ int RunDemo(const std::string& dir) {
   // Media scrub so the report carries a last_scrub section (and the
   // vault.scrub.* counters); its per-file findings go to stderr, the
   // JSON report to stdout.
-  auto scrub = vault->Scrub();
+  auto scrub = vault->ScrubShard(0);
   if (!scrub.ok()) return Fail(scrub.status());
   fprintf(stderr, "%s\n", scrub->Summary().c_str());
 
@@ -138,15 +134,17 @@ int OpenExisting(const std::string& dir) {
   std::string master = EnvOr("MEDVAULT_MASTER_KEY", "demo-master-key");
   master.resize(32, '#');
 
-  VaultOptions options;
+  ShardedVaultOptions options;
   options.env = &env;
   options.dir = dir;
   options.clock = &clock;
   options.master_key = master;
   options.entropy = EnvOr("MEDVAULT_ENTROPY", "demo-entropy:" + dir);
+  options.num_shards = ShardRouter::ReadManifest(&env, dir).ValueOr(1);
   options.signer_height = 8;
+  options.metrics = &registry;
 
-  auto opened = Vault::Open(options);
+  auto opened = ShardedVault::Open(options);
   if (!opened.ok()) return Fail(opened.status());
   return DumpVault(opened->get(), &io);
 }
